@@ -72,7 +72,6 @@ const defaultTraceBuf = 256
 type server struct {
 	mgr   *oracle.Manager
 	def   *oracle.Tenant // the pinned default tenant
-	snaps *store.Dir     // nil without -datadir
 	auth  *keyring       // nil without -keys: every route open
 	lim   limits
 	mux   *http.ServeMux
@@ -99,7 +98,6 @@ func newServer(cfg serverConfig) (*server, error) {
 	}
 	reg := obs.NewRegistry()
 	s := &server{
-		snaps: cfg.snapshots,
 		auth:  cfg.keys,
 		lim:   cfg.lim,
 		mux:   http.NewServeMux(),
@@ -144,7 +142,7 @@ func newServer(cfg serverConfig) (*server, error) {
 			// On a failed probe keep the cap: retaining a stale entry is
 			// harmless, silently uncapping a tenant that does rehydrate is
 			// not.
-			if onDisk, err := s.snapshotOnDisk(name); err == nil && !onDisk {
+			if onDisk, err := s.mgr.Persisted(name); err == nil && !onDisk {
 				s.tmu.Lock()
 				delete(s.tlim, name)
 				s.tmu.Unlock()
@@ -975,31 +973,20 @@ func (s *server) handleGraphs(w http.ResponseWriter, r *http.Request) {
 		// Evicted-but-persisted tenants still exist (the next query on one
 		// rehydrates it) and must show up here, consistent with the
 		// single-name summary route — a listing that omits them steers
-		// clients into destructive re-creates.
-		if s.snaps != nil {
-			// Probe failures are 500s, matching the single-name route: a
-			// listing that silently omits a persisted tenant on a transient
-			// read error invites the same destructive re-create.
-			names, err := s.snaps.Tenants()
-			if err != nil {
-				s.fail(w, r, http.StatusInternalServerError, fmt.Errorf("listing persisted tenants: %w", err))
-				return
-			}
-			for _, name := range names {
-				if hosted[name] {
-					continue
-				}
-				onDisk, perr := s.snapshotOnDisk(name)
-				if perr != nil {
-					s.fail(w, r, http.StatusInternalServerError, fmt.Errorf("probing persisted snapshots of %q: %w", name, perr))
-					return
-				}
-				if onDisk {
-					out.Graphs = append(out.Graphs, tenantSummary{Name: name, Evicted: true, Tier: "cold"})
-				}
-			}
-			sort.Slice(out.Graphs, func(i, j int) bool { return out.Graphs[i].Name < out.Graphs[j].Name })
+		// clients into destructive re-creates. Probe failures are 500s, for
+		// the same reason: a listing that silently omits a persisted tenant
+		// on a transient read error invites the same re-create.
+		evicted, err := s.mgr.Evicted()
+		if err != nil {
+			s.fail(w, r, http.StatusInternalServerError, err)
+			return
 		}
+		for _, name := range evicted {
+			if !hosted[name] {
+				out.Graphs = append(out.Graphs, tenantSummary{Name: name, Evicted: true, Tier: "cold"})
+			}
+		}
+		sort.Slice(out.Graphs, func(i, j int) bool { return out.Graphs[i].Name < out.Graphs[j].Name })
 		out.Count = len(out.Graphs)
 		s.writeJSON(w, http.StatusOK, out)
 	case http.MethodPost:
@@ -1110,22 +1097,6 @@ func algorithmRegistered(name string) bool {
 	return false
 }
 
-// snapshotOnDisk reports whether name has persisted snapshots to
-// rehydrate from. The error is the probe's own failure — callers must not
-// treat "could not tell" as "absent": that is the difference between
-// reporting a tenant evicted and steering a client into a destructive
-// re-create.
-func (s *server) snapshotOnDisk(name string) (bool, error) {
-	if s.snaps == nil {
-		return false, nil
-	}
-	vs, err := s.snaps.Versions(name)
-	if err != nil {
-		return false, err
-	}
-	return len(vs) > 0, nil
-}
-
 // handleTenant routes /v1/graphs/{name} and /v1/graphs/{name}/{op}.
 func (s *server) handleTenant(w http.ResponseWriter, r *http.Request) {
 	rest := strings.TrimPrefix(r.URL.Path, "/v1/graphs/")
@@ -1143,7 +1114,7 @@ func (s *server) handleTenant(w http.ResponseWriter, r *http.Request) {
 			// actual query traffic.
 			t, err := s.mgr.Peek(name)
 			if err != nil {
-				onDisk, perr := s.snapshotOnDisk(name)
+				onDisk, perr := s.mgr.Persisted(name)
 				if perr != nil {
 					// Could not tell: a 404 here could steer the client into
 					// a re-create that replaces a persisted incarnation.
@@ -1204,7 +1175,7 @@ func (s *server) handleTenant(w http.ResponseWriter, r *http.Request) {
 			// route: an evicted-but-persisted tenant exists (Peek just
 			// cannot see it), and a 404 here would steer clients into a
 			// destructive re-create.
-			if onDisk, perr := s.snapshotOnDisk(name); perr == nil && onDisk {
+			if onDisk, perr := s.mgr.Persisted(name); perr == nil && onDisk {
 				s.writeJSON(w, http.StatusOK, tenantSummary{Name: name, Evicted: true, Tier: "cold"})
 				return
 			}

@@ -1,7 +1,6 @@
 package oracle
 
 import (
-	"context"
 	"errors"
 	"fmt"
 	"sort"
@@ -11,7 +10,6 @@ import (
 
 	cliqueapsp "github.com/congestedclique/cliqueapsp"
 	"github.com/congestedclique/cliqueapsp/internal/sched"
-	"github.com/congestedclique/cliqueapsp/obs/trace"
 	"github.com/congestedclique/cliqueapsp/store"
 	"github.com/congestedclique/cliqueapsp/tier"
 )
@@ -117,49 +115,24 @@ type SnapshotStore interface {
 	Delete(tenant string) error
 }
 
-// TenantConfig is one tenant's overrides over ManagerConfig.Base — the
-// per-tenant algorithm/accuracy/seed choice is the point of multi-tenancy:
-// workloads that want fewer rounds pick a coarser factor, workloads that
-// want tighter distances pay for them.
-type TenantConfig struct {
-	// Algorithm overrides Base.Algorithm when non-empty.
-	Algorithm cliqueapsp.Algorithm
-	// Eps overrides Base.Eps (the accuracy slack) when > 0.
-	Eps float64
-	// Seed pins the rebuild seed when != 0 (appended as WithSeed).
-	Seed int64
-	// RunOptions are appended after Base.RunOptions and the Eps/Seed
-	// overrides, so they win ties.
-	RunOptions []cliqueapsp.RunOption
-	// BuildTimeout overrides Base.BuildTimeout when > 0.
-	BuildTimeout time.Duration
-	// Quota bounds the tenant's query traffic (zero = unlimited), enforced
-	// in Tenant.Dist/Batch/Path: a rejected call returns a *QuotaError
-	// (matching ErrQuotaExceeded) carrying the retry delay. Like the rest
-	// of the config it is remembered across eviction, so a rehydrated
-	// tenant comes back throttled exactly as it left. Replaceable at
-	// runtime with Tenant.SetQuota.
-	Quota Quota
-	// Pinned exempts the tenant from eviction (it still counts against the
-	// budgets). The serving default tenant of a daemon is the typical pin.
-	Pinned bool
-	// AdoptPersisted, on a store-backed Manager, makes Create leave any
-	// persisted snapshots under this name in place — to be served again by
-	// RestoreAll or rehydration — and reserves versions above them so new
-	// builds still supersede the files. The daemon's recreated-every-boot
-	// default tenant wants this. When false (the default), creating a
-	// tenant REPLACES any previous persisted incarnation: its snapshot
-	// files are removed, so stale data can never resurrect under a name
-	// the caller just configured afresh.
-	AdoptPersisted bool
-}
-
 // Manager hosts many named, independently versioned Oracles behind one
 // admission policy. All methods are safe for concurrent use. Queries run on
 // Tenant handles resolved with Get; a handle that loses its tenant to
 // Delete or eviction keeps answering from the last published snapshot (the
 // underlying Oracle is closed, not freed), so readers never observe a
 // half-torn-down oracle.
+//
+// Every name moves through one lifecycle, and every transition happens
+// under mu on the name's entry in the tenant table (no entry = absent):
+//
+//	absent ──Create──────────────────────────────▶ serving {hot ⇄ cold}
+//	absent / evicted ──Get, RestoreAll──▶ loading ──▶ serving {hot ⇄ cold}
+//	loading ──load failed──▶ the state it came from
+//	serving ──evict──▶ closing ──▶ evicted (snapshots on disk) or absent
+//	any ──Delete──▶ closing ──▶ absent
+//
+// A serving tenant's tier is its snapshot's, swapped atomically inside its
+// oracle: node pressure demotes it to cold, Promote loads it back hot.
 type Manager struct {
 	cfg  ManagerConfig
 	eng  *cliqueapsp.Engine
@@ -167,7 +140,7 @@ type Manager struct {
 	tick atomic.Uint64 // logical LRU clock
 
 	// Persistence counters live outside mu: they are bumped from tenant
-	// build goroutines (persist hooks) and from rehydrating readers.
+	// build goroutines (persist hooks) and from loading readers.
 	persists        atomic.Uint64
 	persistErrors   atomic.Uint64
 	restored        atomic.Uint64
@@ -179,43 +152,34 @@ type Manager struct {
 	promotions      atomic.Uint64 // cold tenants decoded back to hot
 	fullDecodes     atomic.Uint64 // complete O(n²) snapshot decodes (Store.Load)
 
-	// hydrating singleflights rehydrations per tenant name so concurrent
-	// cold hits do one disk load and every caller returns a serving tenant.
-	hydMu     sync.Mutex
-	hydrating map[string]chan struct{}
-
 	mu         sync.Mutex
-	tenants    map[string]*Tenant
+	tenants    map[string]*Tenant // the tenant table
 	totalNodes int
 	created    uint64
 	deleted    uint64
 	evictions  uint64
 	closed     bool
-	// evictedCfg remembers evicted tenants' full configs (RunOptions,
-	// BuildTimeout, Pinned — state a snapshot cannot carry), so a same-
-	// process rehydration brings the tenant back behaving identically.
-	// Entries are dropped when the name is re-created, rehydrated, or
-	// deleted. Cross-restart rehydrations fall back to the persisted
-	// provenance (algorithm/eps/pinned seed).
-	evictedCfg map[string]TenantConfig
 }
 
-// Tenant is one named oracle inside a Manager. Query methods mirror
-// Oracle's and additionally refresh the tenant's LRU recency.
-type Tenant struct {
-	name    string
-	m       *Manager
-	o       *Oracle
-	cfg     TenantConfig
-	created time.Time
+// tenantState is a tenant table entry's place in the lifecycle.
+type tenantState uint8
 
-	lastUsed  atomic.Uint64           // manager clock tick of the last touch
-	nodes     atomic.Int64            // admitted node budget of the registered graph
-	evicted   atomic.Bool             // removed by eviction (vs. Delete/Close)
-	lim       atomic.Pointer[limiter] // nil = unlimited; swapped whole by SetQuota
-	throttled atomic.Uint64           // queries this tenant had rejected by quota
-	setMu     sync.Mutex              // serializes admission + SetGraph per tenant
-}
+const (
+	// serving: hosted and admitted; Peek and Get return it.
+	serving tenantState = iota
+	// evicted: holds no slot and no node budget, but has snapshots on disk
+	// and remembers its config (RunOptions, BuildTimeout, Pinned — state a
+	// snapshot cannot carry) for the load that brings it back.
+	evicted
+	// loading: its snapshot is read, then admitted (claiming a slot) and
+	// published. Peek cannot see it; Get waits for done.
+	loading
+	// closing: the name's oracle is draining after eviction (a build
+	// accepted just before may still persist), or a Delete is erasing the
+	// name's snapshots. Get, Create and Delete wait for done, so nothing
+	// loads or wipes files that are still changing.
+	closing
+)
 
 // NewManager returns an empty Manager.
 func NewManager(cfg ManagerConfig) *Manager {
@@ -224,25 +188,18 @@ func NewManager(cfg ManagerConfig) *Manager {
 		eng = cliqueapsp.New()
 	}
 	return &Manager{
-		cfg:        cfg,
-		eng:        eng,
-		gate:       sched.NewGate(cfg.BuildConcurrency),
-		tenants:    make(map[string]*Tenant),
-		hydrating:  make(map[string]chan struct{}),
-		evictedCfg: make(map[string]TenantConfig),
+		cfg:     cfg,
+		eng:     eng,
+		gate:    sched.NewGate(cfg.BuildConcurrency),
+		tenants: make(map[string]*Tenant),
 	}
 }
 
-// Create adds a tenant under name. When MaxGraphs is reached the
-// least-recently-used idle, unpinned tenant is evicted to make room;
-// ErrOverCapacity is returned if none is evictable.
-func (m *Manager) Create(name string, tc TenantConfig) (*Tenant, error) {
-	if name == "" {
-		return nil, fmt.Errorf("oracle: empty tenant name")
-	}
-	if err := tc.Quota.Validate(); err != nil {
-		return nil, err
-	}
+// newOracle builds t's oracle: ManagerConfig.Base with t's overrides on
+// top, the fleet hooks tagged with t's name, and (with a Store) every
+// publish persisted.
+func (m *Manager) newOracle(t *Tenant) *Oracle {
+	name, tc := t.name, t.cfg
 	cfg := m.cfg.Base
 	cfg.Engine = m.eng
 	cfg.gate = m.gate // every tenant build passes the fleet admission gate
@@ -262,22 +219,10 @@ func (m *Manager) Create(name string, tc TenantConfig) (*Tenant, error) {
 		cfg.BuildTimeout = tc.BuildTimeout
 	}
 	if hook := m.cfg.OnRebuild; hook != nil {
-		inner := cfg.OnRebuild
-		cfg.OnRebuild = func(version uint64, elapsed time.Duration, err error) {
-			if inner != nil {
-				inner(version, elapsed, err)
-			}
-			hook(name, version, elapsed, err)
-		}
+		cfg.OnRebuild = tagged(name, cfg.OnRebuild, hook)
 	}
 	if hook := m.cfg.OnRepair; hook != nil {
-		inner := cfg.OnRepair
-		cfg.OnRepair = func(version uint64, elapsed time.Duration, err error) {
-			if inner != nil {
-				inner(version, elapsed, err)
-			}
-			hook(name, version, elapsed, err)
-		}
+		cfg.OnRepair = tagged(name, cfg.OnRepair, hook)
 	}
 	if hook := m.cfg.OnPhase; hook != nil {
 		inner := cfg.OnPhase
@@ -296,133 +241,210 @@ func (m *Manager) Create(name string, tc TenantConfig) (*Tenant, error) {
 			if inner != nil {
 				inner(p)
 			}
-			m.persist(name, eps, seedPinned, p)
+			m.persist(t, eps, seedPinned, p)
 		}
 	}
+	return New(cfg)
+}
 
+// tagged chains a tenant's own build hook (nil = none) with a fleet hook
+// that also receives the tenant name.
+func tagged(name string, inner func(uint64, time.Duration, error), hook func(string, uint64, time.Duration, error)) func(uint64, time.Duration, error) {
+	return func(v uint64, d time.Duration, err error) {
+		if inner != nil {
+			inner(v, d, err)
+		}
+		hook(name, v, d, err)
+	}
+}
+
+// Create adds a tenant under name. When MaxGraphs is reached the
+// least-recently-used idle, unpinned tenant is evicted to make room;
+// ErrOverCapacity is returned if none is evictable.
+func (m *Manager) Create(name string, tc TenantConfig) (*Tenant, error) {
+	if name == "" {
+		return nil, fmt.Errorf("oracle: empty tenant name")
+	}
+	if err := tc.Quota.Validate(); err != nil {
+		return nil, err
+	}
 	// Reconcile with any persisted snapshots under this name: an adopting
 	// create seeds its version counter above them, a replacing create
 	// removes them after it succeeds (stale incarnation data must not
 	// resurrect under a freshly configured tenant — but a create that FAILS
 	// must not have destroyed anything either).
 	var reserve uint64
-	wipe := false
-	if m.cfg.Store != nil {
-		if tc.AdoptPersisted {
-			vs, err := m.cfg.Store.Versions(name)
-			switch {
-			case err == nil:
-				if len(vs) > 0 {
-					reserve = vs[len(vs)-1]
-				}
-			case errors.Is(err, store.ErrInvalidName):
-				// Nothing can be persisted under an unstorable name.
-			default:
-				// "Could not tell" must not become "nothing persisted": an
-				// unreserved counter would let stale files shadow (and GC
-				// swallow) this tenant's fresh builds.
-				return nil, fmt.Errorf("oracle: probing persisted snapshots of %q: %w", name, err)
-			}
-		} else {
-			// The flight keeps rehydrations (and Deletes) out for the whole
-			// create; it is not held by the adopt path, so the restore flows
-			// — which create with AdoptPersisted while holding the flight —
-			// cannot deadlock here.
-			release := m.lockHydration(name)
-			defer release()
-			if _, err := m.Peek(name); err != nil {
-				wipe = true // hosted names keep their files: Create fails below
-			}
+	if m.cfg.Store != nil && tc.AdoptPersisted {
+		var err error
+		if reserve, err = m.newest(name); err != nil {
+			// "Could not tell" must not become "nothing persisted": an
+			// unreserved counter would let stale files shadow (and GC
+			// swallow) this tenant's fresh builds.
+			return nil, fmt.Errorf("oracle: probing persisted snapshots of %q: %w", name, err)
 		}
 	}
-
-	t := &Tenant{name: name, m: m, cfg: tc, created: time.Now()}
-	t.lim.Store(newLimiter(tc.Quota, nil))
-	t.lastUsed.Store(m.tick.Add(1))
+	wipe := m.cfg.Store != nil && !tc.AdoptPersisted
+	t := m.newTenant(name, tc, serving)
+	t.onDisk = reserve > 0
+	t.o = m.newOracle(t)
+	// Start above the previous incarnation's persisted versions, so this
+	// tenant's publishes supersede the old files on disk instead of being
+	// shadowed by them on the next load (and so keep-K GC never collects a
+	// fresh snapshot in favor of stale ones).
+	t.o.reserveVersions(reserve)
 	if wipe {
-		// Held until the wipe below is done (lock order: flight, setMu, mu).
-		// Once the tenant is in the table a concurrent Get could SetGraph,
-		// build, and persist; setMu parks that SetGraph until the old files
-		// are gone, so the wipe can never swallow a fresh snapshot.
-		t.setMu.Lock()
-		defer t.setMu.Unlock()
+		// The entry stays in transition until the wipe below is done: Peek
+		// and Get cannot hand the tenant out (so no SetGraph can build and
+		// persist a snapshot the wipe would swallow), eviction skips it, and
+		// a Create, Delete or load of the name waits.
+		t.done = make(chan struct{})
 	}
-
 	m.mu.Lock()
-	if m.closed {
-		m.mu.Unlock()
-		return nil, ErrClosed
+	if err := m.insertLocked(t); err != nil {
+		t.o.Close()
+		return nil, err
 	}
-	if _, ok := m.tenants[name]; ok {
-		m.mu.Unlock()
-		return nil, fmt.Errorf("%w: %q", ErrTenantExists, name)
+	if !wipe {
+		return t, nil
 	}
-	var victims []*Tenant
-	if m.cfg.MaxGraphs > 0 && len(m.tenants) >= m.cfg.MaxGraphs {
-		// Slot pressure only: a demotion keeps its tenant hosted, so the
-		// plan can never contain one here.
-		victims, _ = m.evictLocked(len(m.tenants)-m.cfg.MaxGraphs+1, 0, nil)
-		if len(m.tenants) >= m.cfg.MaxGraphs {
-			m.mu.Unlock()
-			m.drain(victims)
-			return nil, fmt.Errorf("%w: %d graphs served, no idle tenant to evict", ErrOverCapacity, m.cfg.MaxGraphs)
-		}
+	derr := m.cfg.Store.Delete(name)
+	if errors.Is(derr, store.ErrInvalidName) {
+		derr = nil // an unstorable name has nothing on disk to replace
 	}
-	t.o = New(cfg)
-	if reserve > 0 {
-		// Start above the previous incarnation's persisted versions, so this
-		// tenant's publishes supersede the old files on disk instead of
-		// being shadowed by them on the next rehydration or restart (and so
-		// keep-K GC never collects a fresh snapshot in favor of stale ones).
-		t.o.reserveVersions(reserve)
+	m.mu.Lock()
+	if derr != nil {
+		// Stale files we could not remove would resurrect the old
+		// incarnation later; back the create out rather than host a tenant
+		// with a haunted name.
+		m.removeLocked(t)
 	}
-	m.tenants[name] = t
-	m.created++
-	delete(m.evictedCfg, name) // this create's config supersedes any remembered one
+	m.settleEntryLocked(t)
 	m.mu.Unlock()
-
-	m.drain(victims)
-	if wipe {
-		switch derr := m.cfg.Store.Delete(name); {
-		case derr == nil, errors.Is(derr, store.ErrInvalidName):
-			// An unstorable name has nothing on disk to replace.
-		default:
-			// Stale files we could not remove would resurrect the old
-			// incarnation later; back the create out rather than host a
-			// tenant with a haunted name.
-			m.dropTenant(t)
-			return nil, fmt.Errorf("oracle: clearing persisted snapshots of %q: %w", name, derr)
-		}
+	if derr != nil {
+		t.o.Close()
+		return nil, fmt.Errorf("oracle: clearing persisted snapshots of %q: %w", name, derr)
 	}
 	return t, nil
 }
 
-// Get resolves a tenant by name and refreshes its LRU recency. With a
-// Store configured, a name that is not hosted — typically because LRU
-// eviction reclaimed it — is rehydrated from its newest persisted snapshot
-// before being returned: the eviction cost a disk read, not the tenant.
-func (m *Manager) Get(name string) (*Tenant, error) {
-	t, err := m.Peek(name)
-	if err != nil {
-		if m.cfg.Store == nil || !errors.Is(err, ErrTenantNotFound) {
-			return nil, err
-		}
-		if t, err = m.rehydrate(name); err != nil {
-			return nil, err
+// insertLocked enters t into the table once any load or deletion on its
+// name has settled, superseding an evicted entry. A serving t claims its
+// MaxGraphs slot now, evicting the LRU idle tenant if every slot is held;
+// a loading one claims it with its first admitNodes, once the disk has
+// shown there is something to load. Called with m.mu held; returns with
+// it released.
+func (m *Manager) insertLocked(t *Tenant) error {
+	prev, _ := m.settleLocked(t.name)
+	if m.closed {
+		m.mu.Unlock()
+		return ErrClosed
+	}
+	if prev != nil && prev.state != evicted {
+		m.mu.Unlock()
+		return fmt.Errorf("%w: %q", ErrTenantExists, t.name)
+	}
+	var victims []*Tenant
+	if limit := m.cfg.MaxGraphs; limit > 0 && t.state == serving {
+		if held := m.slotsLocked(); held >= limit {
+			// Slot pressure only: a demotion keeps its tenant hosted, so the
+			// plan can never contain one here.
+			if victims, _ = m.evictLocked(held-limit+1, 0, nil); victims == nil {
+				m.mu.Unlock()
+				return errNoSlot(limit)
+			}
 		}
 	}
-	t.touch()
-	return t, nil
+	m.tenants[t.name] = t
+	m.created++
+	m.mu.Unlock()
+	m.drain(victims)
+	return nil
+}
+
+// settleLocked waits out any transition on name — a load, a closing
+// oracle, a Delete's erase, a Create's wipe — and returns the settled
+// entry (nil = absent) with the error of the last load it waited for.
+// m.mu is held on entry and on return.
+func (m *Manager) settleLocked(name string) (*Tenant, error) {
+	var err error
+	for {
+		t := m.tenants[name]
+		if t == nil || t.done == nil {
+			return t, err
+		}
+		done := t.done
+		m.mu.Unlock()
+		<-done
+		m.mu.Lock()
+		err = t.err
+	}
+}
+
+// settleEntryLocked ends t's transition: its waiters wake to re-read the
+// table.
+func (m *Manager) settleEntryLocked(t *Tenant) {
+	close(t.done)
+	t.done = nil
+}
+
+// slotsLocked counts the table entries holding a MaxGraphs slot: serving
+// ones, and loading ones once admitted (every graph has a node).
+func (m *Manager) slotsLocked() (n int) {
+	for _, t := range m.tenants {
+		if t.state == serving || t.state == loading && t.nodes.Load() > 0 {
+			n++
+		}
+	}
+	return n
+}
+
+func errNoSlot(limit int) error {
+	return fmt.Errorf("%w: %d graphs served, no idle tenant to evict", ErrOverCapacity, limit)
+}
+
+// Get resolves a tenant by name and refreshes its LRU recency. With a
+// Store configured, a name that is not hosted — typically because LRU
+// eviction reclaimed it — is loaded from its newest persisted snapshot
+// before being returned: the eviction cost a disk read, not the tenant.
+// Concurrent Gets of a loading tenant share its one load: they wait for it
+// and then get a tenant that can answer, or the load's error.
+func (m *Manager) Get(name string) (*Tenant, error) {
+	m.mu.Lock()
+	t, err := m.settleLocked(name)
+	switch {
+	case t != nil && t.state == serving:
+		m.mu.Unlock()
+		t.touch()
+		return t, nil
+	case err == nil && m.closed:
+		err = ErrClosed
+	case err == nil && m.cfg.Store == nil:
+		err = fmt.Errorf("%w: %q", ErrTenantNotFound, name)
+	}
+	if err != nil {
+		m.mu.Unlock()
+		return nil, err
+	}
+	switch t, err = m.hydrate(name, t); {
+	case err == nil:
+		m.coldHits.Add(1)
+		t.touch()
+	case !errors.Is(err, ErrTenantNotFound):
+		m.rehydrateErrors.Add(1)
+	}
+	return t, err
 }
 
 // Peek resolves a tenant by name WITHOUT refreshing its LRU recency. Use it
 // for monitoring lookups (stats, listings): a dashboard scraping every
 // tenant must not overwrite the recency ordering that query traffic
 // establishes, or eviction would pick victims by poll phase instead of by
-// actual idleness.
+// actual idleness. Peek never loads, waits, or returns a tenant in
+// transition (loading, closing, or still being created).
 func (m *Manager) Peek(name string) (*Tenant, error) {
 	m.mu.Lock()
 	t, ok := m.tenants[name]
+	ok = ok && t.state == serving && t.done == nil
 	m.mu.Unlock()
 	if !ok {
 		return nil, fmt.Errorf("%w: %q", ErrTenantNotFound, name)
@@ -433,99 +455,162 @@ func (m *Manager) Peek(name string) (*Tenant, error) {
 // Names returns the hosted tenant names in sorted order.
 func (m *Manager) Names() []string {
 	m.mu.Lock()
-	names := make([]string, 0, len(m.tenants))
-	for name := range m.tenants {
-		names = append(names, name)
-	}
+	tenants := m.servingLocked()
 	m.mu.Unlock()
+	names := make([]string, len(tenants))
+	for i, t := range tenants {
+		names[i] = t.name
+	}
 	sort.Strings(names)
 	return names
+}
+
+// Persisted reports whether name has snapshots on disk for Get to load:
+// the tenant table answers for the names it holds, a store probe for the
+// rest (names not seen since boot, or whose restore failed). A failed
+// probe is returned as an error, never as "not persisted".
+func (m *Manager) Persisted(name string) (bool, error) {
+	if m.cfg.Store == nil {
+		return false, nil
+	}
+	m.mu.Lock()
+	t, known := m.tenants[name]
+	onDisk := known && t.onDisk
+	m.mu.Unlock()
+	if known {
+		return onDisk, nil
+	}
+	v, err := m.newest(name)
+	return v > 0, err
+}
+
+// Evicted lists, sorted, the tenants that are persisted but not hosted:
+// Peek cannot see them, yet Get would load them from disk.
+func (m *Manager) Evicted() ([]string, error) {
+	if m.cfg.Store == nil {
+		return nil, nil
+	}
+	names, err := m.cfg.Store.Tenants()
+	if err != nil {
+		return nil, fmt.Errorf("listing persisted tenants: %w", err)
+	}
+	var out []string
+	for _, name := range names {
+		_, perr := m.Peek(name)
+		onDisk, err := m.Persisted(name)
+		if err != nil {
+			return nil, fmt.Errorf("probing persisted snapshots of %q: %w", name, err)
+		}
+		if perr != nil && onDisk {
+			out = append(out, name)
+		}
+	}
+	return out, nil
+}
+
+// newest returns the newest snapshot version persisted under name (0 =
+// none; a name the store cannot hold has none).
+func (m *Manager) newest(name string) (uint64, error) {
+	vs, err := m.cfg.Store.Versions(name)
+	if err != nil || len(vs) == 0 {
+		if errors.Is(err, store.ErrInvalidName) {
+			err = nil
+		}
+		return 0, err
+	}
+	return vs[len(vs)-1], nil
 }
 
 // Delete removes a tenant and drains its build loop. Outstanding Tenant
 // handles keep answering queries from the last published snapshot. With a
 // Store configured the tenant's persisted snapshots are removed too —
 // unlike eviction, Delete means gone, so the name must not resurrect on
-// the next Get: deletion holds the tenant's rehydration flight for its
-// whole duration (no concurrent Get can rehydrate meanwhile), drains the
-// build loop — whose final in-flight build may persist one last snapshot —
-// and only then erases the disk state, so nothing persisted outlives the
-// call. An evicted-but-persisted tenant — addressable through Get — is
-// deletable too, even though it is not currently hosted. A store deletion
-// failure is returned (and reported through OnPersist with version 0), so
-// the caller knows files survived and the name can still rehydrate; the
-// in-memory removal stands regardless.
+// the next Get: the name is held in the closing state for the whole call
+// (Gets wait rather than load), the build loop is drained — its final
+// in-flight build may persist one last snapshot — and only then is the
+// disk state erased, so nothing persisted outlives the call. An
+// evicted-but-persisted tenant — addressable through Get — is deletable
+// too, even though it is not currently hosted. A store deletion failure is
+// returned (and reported through OnPersist with version 0), so the caller
+// knows files survived and the name can still load; the in-memory removal
+// stands regardless.
 func (m *Manager) Delete(name string) error {
-	persisted := false
-	var listErr error
-	if m.cfg.Store != nil {
-		// Hold the rehydration flight for the whole deletion, so no Get can
-		// resurrect the tenant from files we are about to erase.
-		release := m.lockHydration(name)
-		defer release()
-		switch vs, err := m.cfg.Store.Versions(name); {
-		case err == nil:
-			persisted = len(vs) > 0
-		case errors.Is(err, store.ErrInvalidName):
-			// A name the store rejects can never have been persisted.
-		default:
-			listErr = err
-		}
-	}
 	m.mu.Lock()
-	t, hosted := m.tenants[name]
+	t, _ := m.settleLocked(name)
+	hosted := t != nil && t.state == serving
 	if hosted {
 		m.removeLocked(t)
 		m.deleted++
 	}
+	claim := &Tenant{name: name, m: m, state: closing, done: make(chan struct{})}
+	m.tenants[name] = claim
 	m.mu.Unlock()
 	if hosted {
-		// Drain before erasing: an in-flight build may persist one last
-		// snapshot on its way out, and those files must not outlive Delete.
 		t.o.Close()
 	}
-	var delErr error
-	if m.cfg.Store != nil && (hosted || persisted || listErr != nil) {
-		// Erasing an absent tenant is a no-op, so when the listing failed we
-		// erase blindly rather than risk leaving resurrectable files behind.
-		switch err := m.cfg.Store.Delete(name); {
-		case err == nil, errors.Is(err, store.ErrInvalidName):
-			// An unstorable name has nothing on disk to erase.
-		default:
-			delErr = err
-			if m.cfg.OnPersist != nil {
-				m.cfg.OnPersist(name, 0, err)
-			}
-		}
+	err := m.erase(name, t != nil)
+	m.mu.Lock()
+	delete(m.tenants, name)
+	if err != nil && t != nil && !errors.Is(err, ErrTenantNotFound) {
+		// Files survived the erase: the name can still load, and must come
+		// back with its config.
+		m.tenants[name] = &Tenant{name: name, m: m, cfg: t.cfg, state: evicted, onDisk: true}
 	}
-	if hosted || delErr == nil {
-		// The remembered eviction config dies with the tenant — but only
-		// once the erase actually went through: a name whose files survived
-		// a failed erase can still rehydrate and must keep its config.
-		m.mu.Lock()
-		delete(m.evictedCfg, name)
-		m.mu.Unlock()
-	}
-	if !hosted {
-		if listErr != nil && delErr == nil {
-			// The blind erase went through, but we never learned whether the
-			// tenant existed; surface the listing failure rather than claim
-			// a deletion we cannot vouch for.
-			return listErr
-		}
-		if listErr == nil && !persisted {
-			return fmt.Errorf("%w: %q", ErrTenantNotFound, name)
-		}
-	}
-	// A failed erase is surfaced even for hosted tenants: the caller must
-	// know files survived and the name can still rehydrate.
-	return delErr
+	m.settleEntryLocked(claim)
+	m.mu.Unlock()
+	return err
 }
 
-// removeLocked detaches t from the table and returns its node budget.
+// erase removes name's persisted snapshots for Delete. known says the
+// tenant table held the name; any other name is probed first, so one that
+// was never persisted is ErrTenantNotFound.
+func (m *Manager) erase(name string, known bool) error {
+	var err error
+	if !known && m.cfg.Store != nil {
+		var v uint64
+		v, err = m.newest(name)
+		known = v > 0
+	}
+	if !known && err == nil {
+		return fmt.Errorf("%w: %q", ErrTenantNotFound, name)
+	}
+	if m.cfg.Store == nil {
+		return nil
+	}
+	// Erasing an absent tenant is a no-op, so when the probe failed we
+	// erase blindly rather than risk leaving loadable files behind — and
+	// then surface the probe failure rather than claim a deletion we cannot
+	// vouch for.
+	if derr := m.cfg.Store.Delete(name); derr != nil && !errors.Is(derr, store.ErrInvalidName) {
+		if m.cfg.OnPersist != nil {
+			m.cfg.OnPersist(name, 0, derr)
+		}
+		return derr
+	}
+	return err
+}
+
+// hostedLocked reports whether t is its name's entry and holds budgets:
+// serving, or loading.
+func (m *Manager) hostedLocked(t *Tenant) bool {
+	return m.tenants[t.name] == t && (t.state == serving || t.state == loading)
+}
+
+// removeLocked takes t out of the table, if it is hosted there, and
+// releases its node budget.
 func (m *Manager) removeLocked(t *Tenant) {
-	delete(m.tenants, t.name)
+	if m.hostedLocked(t) {
+		delete(m.tenants, t.name)
+		m.totalNodes -= int(t.nodes.Load())
+	}
+}
+
+// evictOneLocked evicts t: its budgets are released now, and its name
+// stays closing until drain has closed its oracle.
+func (m *Manager) evictOneLocked(t *Tenant) {
 	m.totalNodes -= int(t.nodes.Load())
+	m.evictions++
+	t.state, t.done = closing, make(chan struct{})
 }
 
 // demotion is one planned tier demotion: t stays hosted, keeps serving
@@ -538,8 +623,8 @@ type demotion struct {
 }
 
 // evictLocked reclaims count tenant slots and freeNodes of node budget from
-// LRU victims, skipping pinned tenants, tenants with a rebuild in flight
-// (not idle), and keep. With tiered serving configured, node pressure
+// LRU victims among the serving tenants, skipping pinned tenants, tenants
+// with a rebuild queued or running (not idle), and keep. With tiered serving configured, node pressure
 // prefers DEMOTING a hot victim — it stays hosted and keeps answering, now
 // from disk at a min(ColdCacheRows, n) charge — over removing it; slot
 // pressure always removes (a demotion frees no slot), and if demotions
@@ -552,11 +637,8 @@ type demotion struct {
 func (m *Manager) evictLocked(count, freeNodes int, keep *Tenant) ([]*Tenant, []demotion) {
 	candidates := make([]*Tenant, 0, len(m.tenants))
 	for _, t := range m.tenants {
-		if t == keep || t.cfg.Pinned {
+		if t == keep || t.state != serving || t.done != nil || t.cfg.Pinned || t.o.Stats().Pending {
 			continue
-		}
-		if t.o != nil && t.o.Stats().Pending {
-			continue // a building tenant is not idle
 		}
 		candidates = append(candidates, t)
 	}
@@ -573,15 +655,7 @@ func (m *Manager) evictLocked(count, freeNodes int, keep *Tenant) ([]*Tenant, []
 		return nil, nil
 	}
 	for _, t := range removes {
-		m.removeLocked(t)
-		m.evictions++
-		t.evicted.Store(true)
-		if m.cfg.Store != nil {
-			// Rehydration may bring the name back; it must come back with
-			// the exact config it was created with, not just what the
-			// snapshot happens to record.
-			m.evictedCfg[t.name] = t.cfg
-		}
+		m.evictOneLocked(t)
 	}
 	for _, d := range demotes {
 		// Retag the charge now, under the lock, so the admission that
@@ -653,12 +727,7 @@ func (m *Manager) cacheRows() int {
 // per potentially resident cache row, capped at the graph size. A hot
 // tenant holds n rows of 8·n bytes; a cold one holds at most cacheRows of
 // them, so the same per-row unit keeps the budget meaning "resident rows".
-func (m *Manager) coldCharge(n int) int {
-	if r := m.cacheRows(); r < n {
-		return r
-	}
-	return n
-}
+func (m *Manager) coldCharge(n int) int { return min(m.cacheRows(), n) }
 
 // drainDemotes performs planned demotions outside the manager lock: open
 // the cold reader (sidecar or one header pass — never the row block) and
@@ -669,9 +738,8 @@ func (m *Manager) drainDemotes(demotes []demotion) {
 	for _, d := range demotes {
 		r, err := m.cfg.Cold.OpenCold(d.t.name, d.v, m.cacheRows())
 		if err == nil {
-			if derr := d.t.o.demote(r); derr != nil {
+			if err = d.t.o.install(newColdSnapshot(r, &d.t.o.cnt)); err != nil {
 				r.Close()
-				err = derr
 			}
 		}
 		if err == nil {
@@ -685,118 +753,97 @@ func (m *Manager) drainDemotes(demotes []demotion) {
 			// own path; nothing to undo.
 			continue
 		}
-		m.evictNow(d.t, d.cc)
-	}
-}
-
-// evictNow fully evicts t after its planned demotion failed, unless the
-// tenant moved on meanwhile (re-admitted at a different charge, re-created,
-// or deleted) — in that case whoever moved it owns the budget now.
-func (m *Manager) evictNow(t *Tenant, cc int) {
-	m.mu.Lock()
-	if m.tenants[t.name] != t || int(t.nodes.Load()) != cc {
+		// Evict fully instead, unless the tenant moved on meanwhile
+		// (re-admitted at a different charge, re-created, or deleted): then
+		// whoever moved it owns the budget now.
+		m.mu.Lock()
+		evict := m.hostedLocked(d.t) && int(d.t.nodes.Load()) == d.cc
+		if evict {
+			m.evictOneLocked(d.t)
+		}
 		m.mu.Unlock()
-		return
+		if evict {
+			m.drain([]*Tenant{d.t})
+		}
 	}
-	m.removeLocked(t)
-	m.evictions++
-	t.evicted.Store(true)
-	if m.cfg.Store != nil {
-		m.evictedCfg[t.name] = t.cfg
-	}
-	m.mu.Unlock()
-	m.drain([]*Tenant{t})
 }
 
-// drain closes evicted tenants' oracles outside the manager lock and fires
-// the eviction hook. Closing waits for the victim's build loop, so by the
-// time the admission call that triggered the eviction returns, the evicted
-// capacity is genuinely released. (Victims are selected idle — no build in
-// flight — atomically with their removal, so no late persist can land
-// during or after the drain.)
+// drain closes evicted tenants' oracles outside the manager lock, settles
+// their closing names, and fires the eviction hook. Closing waits for the
+// victim's build loop, so by the time the admission call that triggered
+// the eviction returns, the evicted capacity is genuinely released.
+// Victims are selected idle, but a SetGraph admitted just before the
+// eviction can still be accepted and persist while the oracle closes;
+// only after that does the name go evicted — remembering the victim's
+// config for the load that brings it back — or absent when nothing is on
+// disk.
 func (m *Manager) drain(victims []*Tenant) {
 	for _, t := range victims {
 		t.o.Close()
-		if m.cfg.Store != nil {
-			// A victim with nothing on disk can never rehydrate, so there
-			// is no incarnation config worth remembering — without this
-			// cleanup, churn through never-published tenants would grow
-			// evictedCfg without bound.
-			if vs, err := m.cfg.Store.Versions(t.name); err == nil && len(vs) == 0 {
-				m.mu.Lock()
-				delete(m.evictedCfg, t.name)
-				m.mu.Unlock()
+		m.mu.Lock()
+		if m.tenants[t.name] == t {
+			delete(m.tenants, t.name)
+			if t.onDisk {
+				m.tenants[t.name] = &Tenant{name: t.name, m: m, cfg: t.cfg, state: evicted, onDisk: true}
 			}
 		}
+		t.state = evicted
+		m.settleEntryLocked(t)
+		m.mu.Unlock()
 		if m.cfg.OnEvict != nil {
 			m.cfg.OnEvict(t.name)
 		}
 	}
 }
 
-// setGraph admits g against the node budget (evicting idle tenants if
-// needed) and registers it with t's oracle.
-func (m *Manager) setGraph(t *Tenant, g *cliqueapsp.Graph) (uint64, error) {
-	if g == nil {
-		return 0, fmt.Errorf("oracle: nil graph")
-	}
-	// Serialize per tenant so concurrent SetGraph calls can't interleave
-	// their budget deltas (the oracle itself coalesces rapid updates).
-	t.setMu.Lock()
-	defer t.setMu.Unlock()
-	prev, err := m.admitNodes(t, g.N())
-	if err != nil {
-		return 0, err
-	}
-	v, err := t.o.SetGraph(g)
-	if err != nil {
-		// Roll back the admission: the oracle rejected the graph (closed).
-		m.rollbackNodes(t, prev)
-		return 0, err
-	}
-	return v, nil
-}
-
-// admitNodes charges t's node budget for an n-node graph, evicting idle
-// tenants if the total budget requires it, and returns t's previous budget
-// for rollback. The caller must hold t.setMu.
+// admitNodes charges t's node budget for an n-node graph — and, on a
+// loading tenant's first admission, its MaxGraphs slot — evicting idle
+// tenants if the budgets require it, and returns t's previous budget for
+// rollback. The caller must hold t.setMu.
 func (m *Manager) admitNodes(t *Tenant, n int) (prev int, err error) {
 	m.mu.Lock()
 	if m.closed {
 		m.mu.Unlock()
 		return 0, ErrClosed
 	}
-	if m.tenants[t.name] != t {
+	if !m.hostedLocked(t) {
 		m.mu.Unlock()
 		return 0, fmt.Errorf("%w: %q", ErrTenantNotFound, t.name)
 	}
 	prev = int(t.nodes.Load())
-	delta := n - prev
+	slots, nodes := 0, 0
+	if limit := m.cfg.MaxGraphs; limit > 0 && t.state == loading && prev == 0 {
+		slots = max(0, m.slotsLocked()+1-limit)
+	}
+	if limit := m.cfg.MaxTotalNodes; limit > 0 {
+		nodes = max(0, m.totalNodes+n-prev-limit)
+	}
 	var victims []*Tenant
 	var demotes []demotion
-	if m.cfg.MaxTotalNodes > 0 && m.totalNodes+delta > m.cfg.MaxTotalNodes {
-		victims, demotes = m.evictLocked(0, m.totalNodes+delta-m.cfg.MaxTotalNodes, t)
-		if m.totalNodes+delta > m.cfg.MaxTotalNodes {
-			inUse := m.totalNodes - prev
-			m.mu.Unlock()
-			m.drain(victims)
-			m.drainDemotes(demotes)
-			return 0, fmt.Errorf("%w: %d nodes requested over a budget of %d (%d in use)",
-				ErrOverCapacity, n, m.cfg.MaxTotalNodes, inUse)
-		}
+	if slots > 0 || nodes > 0 {
+		// A plan that frees anything frees all that was asked.
+		victims, demotes = m.evictLocked(slots, nodes, t)
 	}
-	m.totalNodes += delta
-	t.nodes.Store(int64(n))
+	switch {
+	case nodes > 0 && victims == nil && demotes == nil:
+		err = fmt.Errorf("%w: %d nodes requested over a budget of %d (%d in use)",
+			ErrOverCapacity, n, m.cfg.MaxTotalNodes, m.totalNodes-prev)
+	case slots > 0 && victims == nil:
+		err = errNoSlot(m.cfg.MaxGraphs)
+	default:
+		m.totalNodes += n - prev
+		t.nodes.Store(int64(n))
+	}
 	m.mu.Unlock()
 	m.drain(victims)
 	m.drainDemotes(demotes)
-	return prev, nil
+	return prev, err
 }
 
 // rollbackNodes restores t's node budget to prev after a failed admission.
 func (m *Manager) rollbackNodes(t *Tenant, prev int) {
 	m.mu.Lock()
-	if m.tenants[t.name] == t {
+	if m.hostedLocked(t) {
 		m.totalNodes += prev - int(t.nodes.Load())
 		t.nodes.Store(int64(prev))
 	}
@@ -808,8 +855,8 @@ func (m *Manager) rollbackNodes(t *Tenant, prev int) {
 // deliberate — a rebuild is orders of magnitude more expensive than
 // streaming its output to disk, and it guarantees publish order matches
 // persist order per tenant.
-func (m *Manager) persist(name string, eps float64, seedPinned bool, p Published) {
-	err := m.cfg.Store.Save(name, &store.Snapshot{
+func (m *Manager) persist(t *Tenant, eps float64, seedPinned bool, p Published) {
+	err := m.cfg.Store.Save(t.name, &store.Snapshot{
 		Version:     p.Version,
 		Algorithm:   string(p.Result.Algorithm),
 		FactorBound: p.Result.FactorBound,
@@ -826,9 +873,12 @@ func (m *Manager) persist(name string, eps float64, seedPinned bool, p Published
 		m.persistErrors.Add(1)
 	} else {
 		m.persists.Add(1)
+		m.mu.Lock()
+		t.onDisk = true
+		m.mu.Unlock()
 	}
 	if m.cfg.OnPersist != nil {
-		m.cfg.OnPersist(name, p.Version, err)
+		m.cfg.OnPersist(t.name, p.Version, err)
 	}
 }
 
@@ -842,183 +892,144 @@ func (m *Manager) loadSnapshot(name string) (*store.Snapshot, error) {
 	return s, err
 }
 
-// resultFromSnapshot rebuilds the Result a persisted snapshot was published
-// from. Communication accounting (rounds/messages/words) is not persisted:
-// it describes the simulated run, not the estimate being served.
-func resultFromSnapshot(s *store.Snapshot) *cliqueapsp.Result {
-	return &cliqueapsp.Result{
-		Distances:   s.Distances,
-		FactorBound: s.FactorBound,
-		Algorithm:   cliqueapsp.Algorithm(s.Algorithm),
-		Seed:        s.Seed,
+// hydrate is the loading transition: a fresh entry for name takes the
+// place of prev (absent, or an evicted entry whose remembered config it
+// inherits), claims a MaxGraphs slot, and loads. It ends serving; a failed
+// load puts prev back and hands its waiters the error, so a tenant never
+// serves half-loaded. Called with m.mu held; returns with it released.
+func (m *Manager) hydrate(name string, prev *Tenant) (*Tenant, error) {
+	var tc TenantConfig
+	if prev != nil {
+		tc = prev.cfg
 	}
+	t := m.newTenant(name, tc, loading)
+	t.onDisk, t.done = true, make(chan struct{})
+	if err := m.insertLocked(t); err != nil {
+		return nil, err
+	}
+	err := m.load(t, prev == nil)
+	switch {
+	case errors.Is(err, store.ErrNotFound), errors.Is(err, store.ErrInvalidName):
+		// Nothing persisted (an unstorable name never was): an absent
+		// tenant, not a broken load.
+		err = fmt.Errorf("%w: %q", ErrTenantNotFound, name)
+	case err != nil:
+		err = fmt.Errorf("oracle: loading %q: %w", name, err)
+	}
+	m.mu.Lock()
+	if err == nil && m.tenants[name] != t {
+		err = ErrClosed // Close emptied the table mid-load
+	}
+	if err == nil {
+		t.state = serving
+	} else {
+		m.removeLocked(t)
+		if prev != nil && !m.closed {
+			m.tenants[name] = prev
+		}
+	}
+	t.err = err
+	m.settleEntryLocked(t)
+	m.mu.Unlock()
+	if err != nil {
+		if t.o != nil {
+			t.o.Close()
+		}
+		return nil, err
+	}
+	return t, nil
 }
 
-// lockHydration claims name's rehydration flight, waiting out any flight
-// already in progress, and returns the release function. Rehydrations and
-// Delete both take the flight, so a rehydration can never race a deletion
-// into resurrecting the tenant, and concurrent cold hits do one disk load.
-func (m *Manager) lockHydration(name string) func() {
-	for {
-		m.hydMu.Lock()
-		ch, inflight := m.hydrating[name]
-		if !inflight {
-			ch := make(chan struct{})
-			m.hydrating[name] = ch
-			m.hydMu.Unlock()
-			return func() {
-				m.hydMu.Lock()
-				delete(m.hydrating, name)
-				m.hydMu.Unlock()
-				close(ch)
+// load publishes the newest persisted snapshot of t's name on t without an
+// engine run — the one path behind RestoreAll, rehydration on Get, and
+// Promote. The tier is chosen before any O(n²) decode: cold when tiered
+// serving is on and the node budget has no headroom for the full matrix
+// (the reader's index carries the graph size), hot otherwise; promoting a
+// cold tenant always decodes. Then, in order: resolve the config (a loading
+// entry has no oracle yet — it builds one from its remembered config, or
+// from the persisted provenance when fromDisk), admit the graph against
+// the node budget, and publish.
+func (m *Manager) load(t *Tenant, fromDisk bool) error {
+	promote := t.o != nil && t.o.coldReader() != nil
+	var r *tier.Reader
+	if m.cfg.Cold != nil && !promote {
+		if r = m.openNewestCold(t.name); r != nil && m.hasHeadroom(r.N()) {
+			r.Close()
+			r = nil
+		}
+	}
+	var (
+		snap *store.Snapshot
+		prov store.RowIndex
+		n    int
+	)
+	if r != nil {
+		prov, n = r.Index(), m.coldCharge(r.N())
+	} else {
+		var err error
+		if snap, err = m.loadSnapshot(t.name); err != nil {
+			return err
+		}
+		if promote && snap.Version != t.o.Version() {
+			return fmt.Errorf("%w: newest persisted snapshot of %q is v%d, serving v%d",
+				ErrSuperseded, t.name, snap.Version, t.o.Version())
+		}
+		prov = store.RowIndex{
+			Algorithm:  snap.Algorithm,
+			Eps:        snap.Eps,
+			Seed:       snap.Seed,
+			SeedPinned: snap.SeedPinned,
+		}
+		n = snap.Graph.N()
+	}
+	if t.o == nil {
+		if fromDisk {
+			t.cfg = TenantConfig{Algorithm: cliqueapsp.Algorithm(prov.Algorithm), Eps: prov.Eps}
+			// The persisted seed is always the concrete seed of the run;
+			// re-pin it only if the tenant had pinned it, or a tenant that
+			// wanted fresh randomness per rebuild would silently freeze.
+			if prov.SeedPinned {
+				t.cfg.Seed = prov.Seed
 			}
 		}
-		m.hydMu.Unlock()
-		<-ch
+		t.o = m.newOracle(t)
 	}
-}
-
-// rehydrate brings a tenant that is not hosted — typically evicted — back
-// from its newest persisted snapshot.
-func (m *Manager) rehydrate(name string) (*Tenant, error) {
-	release := m.lockHydration(name)
-	defer release()
-	// The flight we may have waited for could have hosted the tenant.
-	if t, err := m.Peek(name); err == nil {
-		return t, nil
-	}
-	return m.rehydrateOnce(name)
-}
-
-// rehydrateOnce is one rehydration attempt: re-create the tenant with the
-// persisted provenance (algorithm/eps/seed) as its config and publish the
-// snapshot without an engine run. With tiered serving configured and no
-// budget headroom for the full matrix, the tenant comes back cold instead —
-// a sidecar read and an open file, not an O(n²) decode.
-func (m *Manager) rehydrateOnce(name string) (*Tenant, error) {
-	if m.cfg.Cold != nil {
-		if t, err, handled := m.rehydrateCold(name); handled {
-			return t, err
+	t.setMu.Lock()
+	defer t.setMu.Unlock()
+	prev, err := m.admitNodes(t, n)
+	if err == nil {
+		var s *snapshot
+		if r != nil {
+			s = newColdSnapshot(r, &t.o.cnt)
+		} else {
+			// Communication accounting (rounds/messages/words) is not
+			// persisted: it describes the simulated run, not the estimate.
+			res := &cliqueapsp.Result{
+				Distances:   snap.Distances,
+				FactorBound: snap.FactorBound,
+				Algorithm:   cliqueapsp.Algorithm(snap.Algorithm),
+				Seed:        snap.Seed,
+			}
+			s = newSnapshot(snap.Version, snap.Graph, res, &t.o.cnt)
+		}
+		if err = t.o.install(s); err != nil {
+			m.rollbackNodes(t, prev)
 		}
 	}
-	snap, err := m.loadSnapshot(name)
-	if err != nil {
-		// A name the store's alphabet rejects can never have been persisted:
-		// that is an absent tenant, not a broken rehydration.
-		if errors.Is(err, store.ErrNotFound) || errors.Is(err, store.ErrInvalidName) {
-			return nil, fmt.Errorf("%w: %q", ErrTenantNotFound, name)
-		}
-		m.rehydrateErrors.Add(1)
-		return nil, fmt.Errorf("oracle: rehydrating %q: %w", name, err)
+	if err != nil && r != nil {
+		r.Close()
 	}
-	// Prefer the config the evicted incarnation was actually created with
-	// (it carries RunOptions/BuildTimeout/Pinned, which a snapshot cannot);
-	// fall back to the persisted provenance after a process restart.
-	m.mu.Lock()
-	tc, remembered := m.evictedCfg[name]
-	m.mu.Unlock()
-	if remembered {
-		tc.AdoptPersisted = true // never wipe the files being rehydrated
-	} else {
-		tc = tenantConfigFromSnapshot(snap)
-	}
-	t, err := m.Create(name, tc)
-	if err != nil {
-		if errors.Is(err, ErrTenantExists) {
-			// Raced an explicit Create; serve whatever won — it may still
-			// be building, in which case queries see ErrNotReady and retry.
-			return m.Peek(name)
-		}
-		m.rehydrateErrors.Add(1)
-		return nil, err
-	}
-	if err := m.restoreInto(t, snap); err != nil {
-		if errors.Is(err, ErrSuperseded) {
-			// Someone registered a graph on the tenant between Create and
-			// restore; their live intent wins over the disk state.
-			return t, nil
-		}
-		m.dropTenant(t)
-		m.rehydrateErrors.Add(1)
-		return nil, err
-	}
-	m.coldHits.Add(1)
-	return t, nil
+	return err
 }
 
 // openNewestCold opens a tier reader over name's newest persisted version.
 // Any failure returns nil: the caller falls back to the decode path, which
 // produces the canonical error (or a hot restore).
 func (m *Manager) openNewestCold(name string) *tier.Reader {
-	vs, err := m.cfg.Store.Versions(name)
-	if err != nil || len(vs) == 0 {
-		return nil
-	}
-	r, err := m.cfg.Cold.OpenCold(name, vs[len(vs)-1], m.cacheRows())
-	if err != nil {
-		return nil
-	}
-	return r
-}
-
-// rehydrateCold tries to bring name back serving cold. handled=false falls
-// through to the decode path: nothing cold-openable, or enough budget
-// headroom that a hot restore serves better.
-func (m *Manager) rehydrateCold(name string) (*Tenant, error, bool) {
-	r := m.openNewestCold(name)
-	if r == nil {
-		return nil, nil, false
-	}
-	if m.hasHeadroom(r.N()) {
-		r.Close()
-		return nil, nil, false
-	}
-	m.mu.Lock()
-	tc, remembered := m.evictedCfg[name]
-	m.mu.Unlock()
-	if remembered {
-		tc.AdoptPersisted = true // never wipe the files being rehydrated
-	} else {
-		tc = tenantConfigFromIndex(r.Index())
-	}
-	t, err := m.Create(name, tc)
-	if err != nil {
-		r.Close()
-		if errors.Is(err, ErrTenantExists) {
-			// Raced an explicit Create; serve whatever won.
-			t, err = m.Peek(name)
-			return t, err, true
+	if v, err := m.newest(name); err == nil && v > 0 {
+		if r, err := m.cfg.Cold.OpenCold(name, v, m.cacheRows()); err == nil {
+			return r
 		}
-		m.rehydrateErrors.Add(1)
-		return nil, err, true
-	}
-	if err := m.restoreColdInto(t, r); err != nil {
-		r.Close()
-		if errors.Is(err, ErrSuperseded) {
-			// Someone registered a graph on the tenant between Create and
-			// restore; their live intent wins over the disk state.
-			return t, nil, true
-		}
-		m.dropTenant(t)
-		m.rehydrateErrors.Add(1)
-		return nil, fmt.Errorf("oracle: rehydrating %q: %w", name, err), true
-	}
-	m.coldHits.Add(1)
-	return t, nil, true
-}
-
-// restoreColdInto admits the tenant at its cold charge and publishes the
-// reader as a cold serving snapshot. On success the oracle owns r.
-func (m *Manager) restoreColdInto(t *Tenant, r *tier.Reader) error {
-	t.setMu.Lock()
-	defer t.setMu.Unlock()
-	prev, err := m.admitNodes(t, m.coldCharge(r.N()))
-	if err != nil {
-		return err
-	}
-	if err := t.o.restoreCold(r); err != nil {
-		m.rollbackNodes(t, prev)
-		return err
 	}
 	return nil
 }
@@ -1032,72 +1043,11 @@ func (m *Manager) hasHeadroom(n int) bool {
 	return m.cfg.MaxTotalNodes == 0 || m.totalNodes+n <= m.cfg.MaxTotalNodes
 }
 
-// tenantConfigFromIndex is tenantConfigFromSnapshot over a row-index
-// sidecar: the same provenance, recovered without touching the snapshot's
-// row block.
-func tenantConfigFromIndex(ix store.RowIndex) TenantConfig {
-	tc := TenantConfig{
-		Algorithm:      cliqueapsp.Algorithm(ix.Algorithm),
-		Eps:            ix.Eps,
-		AdoptPersisted: true,
-	}
-	if ix.SeedPinned {
-		tc.Seed = ix.Seed
-	}
-	return tc
-}
-
-// tenantConfigFromSnapshot turns persisted provenance back into the tenant
-// config future rebuilds of the restored tenant should run with.
-// AdoptPersisted is essential: the restore flows must not wipe the very
-// files they are restoring from.
-func tenantConfigFromSnapshot(s *store.Snapshot) TenantConfig {
-	tc := TenantConfig{
-		Algorithm:      cliqueapsp.Algorithm(s.Algorithm),
-		Eps:            s.Eps,
-		AdoptPersisted: true,
-	}
-	// Snapshot.Seed is always the concrete seed of the persisted run;
-	// re-pin it only if the tenant's own config had pinned it, or a tenant
-	// that wanted fresh randomness per rebuild would silently freeze.
-	if s.SeedPinned {
-		tc.Seed = s.Seed
-	}
-	return tc
-}
-
-// restoreInto admits snap's graph against the node budget and publishes the
-// snapshot on t without running the engine.
-func (m *Manager) restoreInto(t *Tenant, snap *store.Snapshot) error {
-	t.setMu.Lock()
-	defer t.setMu.Unlock()
-	prev, err := m.admitNodes(t, snap.Graph.N())
-	if err != nil {
-		return err
-	}
-	if err := t.o.RestoreSnapshot(snap.Version, snap.Graph, resultFromSnapshot(snap)); err != nil {
-		m.rollbackNodes(t, prev)
-		return err
-	}
-	return nil
-}
-
-// dropTenant backs out a tenant whose restore failed after Create: removed
-// from the table and drained, without touching the store (its persisted
-// snapshots may still be what a later, healthier restore needs).
-func (m *Manager) dropTenant(t *Tenant) {
-	m.mu.Lock()
-	if m.tenants[t.name] == t {
-		m.removeLocked(t)
-	}
-	m.mu.Unlock()
-	t.o.Close()
-}
-
 // RestoreAll restores every tenant persisted in the store, bringing the
-// whole fleet up to serving before any rebuild runs: tenants that do not
-// exist are created from their persisted provenance, existing tenants that
-// are not yet serving (the daemon's pinned default, created empty at boot)
+// whole fleet up to serving before any rebuild runs: absent tenants load
+// with their persisted provenance as config, evicted ones with the config
+// they remember, existing tenants that are
+// not yet serving (the daemon's pinned default, created empty at boot)
 // have their snapshot published in place, and tenants that already serve a
 // snapshot are left alone. A tenant whose snapshot fails to load or restore
 // — corrupt file, unknown format, over-budget graph — is skipped and
@@ -1117,105 +1067,35 @@ func (m *Manager) RestoreAll(report func(tenant string, err error)) (restored, f
 		return 0, 0, err
 	}
 	for _, name := range names {
-		// Liveness check before the O(n²) decode: a tenant that already
-		// serves does not need its snapshot read at all.
-		t, terr := m.Peek(name)
-		if terr == nil && t.Ready() {
+		m.mu.Lock()
+		t, _ := m.settleLocked(name)
+		var rerr error
+		switch {
+		case t == nil || t.state == evicted:
+			_, rerr = m.hydrate(name, t)
+		case t.Ready():
+			// A tenant that already serves needs no snapshot read at all.
+			m.mu.Unlock()
 			continue
+		default:
+			m.mu.Unlock()
+			rerr = m.load(t, false)
 		}
-		switch outcome, rerr := m.restoreOne(name, t, terr); outcome {
-		case restoreOK:
+		switch {
+		case rerr == nil:
 			m.restored.Add(1)
 			restored++
 			report(name, nil)
-		case restoreSkip:
-			// Nothing persisted, or a live upload beat the restore.
-		case restoreFail:
+		case errors.Is(rerr, ErrTenantNotFound), errors.Is(rerr, store.ErrNotFound), errors.Is(rerr, ErrSuperseded):
+			// Nothing persisted, or a live upload beat the restore; its
+			// build wins.
+		default:
 			m.restoreErrors.Add(1)
 			failed++
 			report(name, rerr)
 		}
 	}
 	return restored, failed, nil
-}
-
-// Outcomes of one RestoreAll tenant attempt.
-const (
-	restoreOK = iota
-	restoreSkip
-	restoreFail
-)
-
-// restoreOne restores one persisted tenant, cold when tiered serving is on
-// and the node budget has no headroom for the full matrix, hot otherwise.
-// The tier decision happens BEFORE any decode — the reader's index carries
-// the graph size — so a tight-budget boot brings the whole fleet up with
-// zero O(n²) decodes.
-func (m *Manager) restoreOne(name string, t *Tenant, terr error) (int, error) {
-	if m.cfg.Cold != nil {
-		if outcome, rerr, handled := m.restoreOneCold(name, t, terr); handled {
-			return outcome, rerr
-		}
-	}
-	snap, lerr := m.loadSnapshot(name)
-	if lerr != nil {
-		if errors.Is(lerr, store.ErrNotFound) {
-			return restoreSkip, nil // an empty tenant directory is not a failure
-		}
-		return restoreFail, lerr
-	}
-	created := false
-	if errors.Is(terr, ErrTenantNotFound) {
-		t, terr = m.Create(name, tenantConfigFromSnapshot(snap))
-		created = terr == nil
-	}
-	if terr != nil {
-		return restoreFail, terr
-	}
-	if rerr := m.restoreInto(t, snap); rerr != nil {
-		if errors.Is(rerr, ErrSuperseded) {
-			return restoreSkip, nil // a live upload beat the restore; its build wins
-		}
-		if created {
-			m.dropTenant(t)
-		}
-		return restoreFail, rerr
-	}
-	return restoreOK, nil
-}
-
-// restoreOneCold is restoreOne's cold branch. handled=false falls through
-// to the decode path: nothing cold-openable (let it produce the canonical
-// error), or enough headroom that the tenant deserves the hot tier.
-func (m *Manager) restoreOneCold(name string, t *Tenant, terr error) (int, error, bool) {
-	r := m.openNewestCold(name)
-	if r == nil {
-		return 0, nil, false
-	}
-	if m.hasHeadroom(r.N()) {
-		r.Close()
-		return 0, nil, false
-	}
-	created := false
-	if errors.Is(terr, ErrTenantNotFound) {
-		t, terr = m.Create(name, tenantConfigFromIndex(r.Index()))
-		created = terr == nil
-	}
-	if terr != nil {
-		r.Close()
-		return restoreFail, terr, true
-	}
-	if rerr := m.restoreColdInto(t, r); rerr != nil {
-		r.Close()
-		if errors.Is(rerr, ErrSuperseded) {
-			return restoreSkip, nil, true
-		}
-		if created {
-			m.dropTenant(t)
-		}
-		return restoreFail, rerr, true
-	}
-	return restoreOK, nil, true
 }
 
 // Promote decodes the newest persisted snapshot of a cold-serving tenant
@@ -1227,57 +1107,35 @@ func (m *Manager) restoreOneCold(name string, t *Tenant, terr error) (int, error
 // or a layer above — decides who earns the memory back.
 func (m *Manager) Promote(name string) error {
 	t, err := m.Peek(name)
-	if err != nil {
+	if err != nil || t.o.coldReader() == nil {
 		return err
 	}
-	r := t.o.coldReader()
-	if r == nil {
-		return nil
-	}
-	snap, err := m.loadSnapshot(name)
-	if err != nil {
+	if err := m.load(t, false); err != nil {
 		return fmt.Errorf("oracle: promoting %q: %w", name, err)
-	}
-	if snap.Version != r.Version() {
-		return fmt.Errorf("%w: newest persisted snapshot of %q is v%d, serving v%d",
-			ErrSuperseded, name, snap.Version, r.Version())
-	}
-	t.setMu.Lock()
-	defer t.setMu.Unlock()
-	prev, err := m.admitNodes(t, snap.Graph.N())
-	if err != nil {
-		return err
-	}
-	if err := t.o.promote(snap.Version, snap.Graph, resultFromSnapshot(snap)); err != nil {
-		m.rollbackNodes(t, prev)
-		return err
 	}
 	m.promotions.Add(1)
 	return nil
 }
 
 // SetQuota ensures q is the quota enforced for name, whether the tenant is
-// currently hosted or evicted-awaiting-rehydration (the remembered config a
-// rehydration restores is updated too, so a quota change cannot be lost to
-// an eviction window). Unlike Tenant.SetQuota it is idempotent: a hosted
-// tenant already enforcing q keeps its bucket state, so periodic
-// reconciliation (e.g. a daemon's config reload) does not hand every
-// tenant a fresh burst. An unknown name is a no-op — the quota simply has
-// nothing to attach to.
+// currently hosted or evicted-awaiting-load (the config an evicted entry
+// remembers is updated, so a quota change cannot be lost to an eviction
+// window). Unlike Tenant.SetQuota it is idempotent: a hosted tenant already
+// enforcing q keeps its bucket state, so periodic reconciliation (e.g. a
+// daemon's config reload) does not hand every tenant a fresh burst. An
+// unknown name is a no-op — the quota simply has nothing to attach to.
 func (m *Manager) SetQuota(name string, q Quota) error {
 	if err := q.Validate(); err != nil {
 		return err
 	}
-	// Update the remembered eviction config first: if a rehydration is
-	// racing this call, it re-creates the tenant from this entry under the
-	// hydration flight and picks the new quota up.
 	m.mu.Lock()
-	if tc, ok := m.evictedCfg[name]; ok {
-		tc.Quota = q
-		m.evictedCfg[name] = tc
+	t, _ := m.settleLocked(name)
+	if t != nil && t.state == evicted {
+		t.cfg.Quota = q // the config its load brings back
+		t = nil
 	}
 	m.mu.Unlock()
-	if t, err := m.Peek(name); err == nil && t.Quota() != q {
+	if t != nil && t.Quota() != q {
 		return t.SetQuota(q)
 	}
 	return nil
@@ -1347,28 +1205,11 @@ type ManagerStats struct {
 	Tenants []TenantStats `json:"tenants"`
 }
 
-// TenantStats is one tenant's Stats tagged with its identity.
-type TenantStats struct {
-	Name   string        `json:"name"`
-	Pinned bool          `json:"pinned"`
-	Nodes  int           `json:"nodes"`
-	Age    time.Duration `json:"age_ns"`
-	// Tier mirrors the oracle's serving tier ("hot", "cold", or "" before
-	// the first snapshot). A cold tenant's Nodes is its cache charge
-	// (min(ColdCacheRows, n)), not its graph size.
-	Tier string `json:"tier,omitempty"`
-	// Quota echoes the enforced quota (absent = unlimited); Throttled
-	// counts this tenant's queries it rejected.
-	Quota     *Quota `json:"quota,omitempty"`
-	Throttled uint64 `json:"throttled"`
-	Oracle    Stats  `json:"oracle"`
-}
-
 // Stats returns a point-in-time view of the manager and all tenants.
 func (m *Manager) Stats() ManagerStats {
 	m.mu.Lock()
 	st := ManagerStats{
-		Graphs:        len(m.tenants),
+		Graphs:        m.slotsLocked(),
 		MaxGraphs:     m.cfg.MaxGraphs,
 		TotalNodes:    m.totalNodes,
 		MaxTotalNodes: m.cfg.MaxTotalNodes,
@@ -1393,10 +1234,7 @@ func (m *Manager) Stats() ManagerStats {
 	st.BuildsQueued = gs.Queued
 	st.BuildsAdmitted = gs.Acquired
 	st.BuildWaitNS = gs.WaitNS
-	tenants := make([]*Tenant, 0, len(m.tenants))
-	for _, t := range m.tenants {
-		tenants = append(tenants, t)
-	}
+	tenants := m.servingLocked()
 	m.mu.Unlock()
 	sort.Slice(tenants, func(i, j int) bool { return tenants[i].name < tenants[j].name })
 	st.Tenants = make([]TenantStats, len(tenants))
@@ -1416,6 +1254,17 @@ func (m *Manager) Stats() ManagerStats {
 	return st
 }
 
+// servingLocked returns the serving entries of the table.
+func (m *Manager) servingLocked() []*Tenant {
+	tenants := make([]*Tenant, 0, len(m.tenants))
+	for _, t := range m.tenants {
+		if t.state == serving {
+			tenants = append(tenants, t)
+		}
+	}
+	return tenants
+}
+
 // Close drains every tenant's build loop and rejects further Create,
 // Get-by-new-name admission and SetGraph calls. Idempotent. Like
 // Oracle.Close, existing snapshots keep answering queries on outstanding
@@ -1427,205 +1276,12 @@ func (m *Manager) Close() {
 		return
 	}
 	m.closed = true
-	tenants := make([]*Tenant, 0, len(m.tenants))
-	for _, t := range m.tenants {
-		tenants = append(tenants, t)
-	}
+	// Loads in flight find the table emptied and close their own oracles.
+	tenants := m.servingLocked()
 	m.tenants = make(map[string]*Tenant)
 	m.totalNodes = 0
 	m.mu.Unlock()
 	for _, t := range tenants {
 		t.o.Close()
 	}
-}
-
-func (t *Tenant) touch() { t.lastUsed.Store(t.m.tick.Add(1)) }
-
-// Name returns the tenant's name.
-func (t *Tenant) Name() string { return t.name }
-
-// Pinned reports whether the tenant is exempt from eviction.
-func (t *Tenant) Pinned() bool { return t.cfg.Pinned }
-
-// Evicted reports whether the tenant was removed by LRU eviction (its
-// last snapshot still answers queries on this handle).
-func (t *Tenant) Evicted() bool { return t.evicted.Load() }
-
-// SetGraph registers g for this tenant through the manager's admission
-// policy (see Oracle.SetGraph for build semantics).
-func (t *Tenant) SetGraph(g *cliqueapsp.Graph) (uint64, error) {
-	t.touch()
-	return t.m.setGraph(t, g)
-}
-
-// ApplyDelta validates and applies a batch of edge deltas to this tenant's
-// newest graph and schedules the successor snapshot (see Oracle.ApplyDelta
-// for repair-vs-rebuild semantics). The delta is charged one call against
-// the tenant's quota — refunded if it is rejected — and refreshes LRU
-// recency like any other accepted traffic. No node re-admission is needed:
-// deltas change edges, never the node count the budget charges for.
-func (t *Tenant) ApplyDelta(d cliqueapsp.GraphDelta) (uint64, error) {
-	return t.ApplyDeltaCtx(context.Background(), d)
-}
-
-// ApplyDeltaCtx is ApplyDelta with a caller context; a sampled request's
-// trace gains a quota-throttle event on rejection.
-func (t *Tenant) ApplyDeltaCtx(ctx context.Context, d cliqueapsp.GraphDelta) (uint64, error) {
-	if err := t.allow(1); err != nil {
-		quotaThrottled(ctx, err)
-		return 0, err
-	}
-	t.touch()
-	v, err := t.o.ApplyDelta(d)
-	if err != nil {
-		// The quota meters accepted work; a rejected delta scheduled nothing
-		// and gets its token back.
-		t.lim.Load().refundCall(1)
-	}
-	return v, err
-}
-
-// Wait blocks until the tenant serves version ≥ version (see Oracle.Wait).
-func (t *Tenant) Wait(ctx context.Context, version uint64) error { return t.o.Wait(ctx, version) }
-
-// Ready reports whether the tenant has a serving snapshot.
-func (t *Tenant) Ready() bool { return t.o.Ready() }
-
-// Version returns the tenant's serving snapshot version.
-func (t *Tenant) Version() uint64 { return t.o.Version() }
-
-// allow charges one query producing answers pairs against the tenant's
-// quota. Throttled calls do not refresh LRU recency: recency tracks served
-// traffic, so a tenant hammering past its quota gains no eviction
-// protection over well-behaved ones.
-func (t *Tenant) allow(answers int) error {
-	wait, resource, ok := t.lim.Load().allow(answers)
-	if ok {
-		return nil
-	}
-	t.throttled.Add(1)
-	t.m.throttled.Add(1)
-	return &QuotaError{Tenant: t.name, Resource: resource, RetryAfter: wait}
-}
-
-// SetQuota replaces the tenant's quota at runtime (a zero q removes it).
-// The new buckets start full, and the change is remembered across eviction
-// like a creation-time Quota.
-func (t *Tenant) SetQuota(q Quota) error {
-	if err := q.Validate(); err != nil {
-		return err
-	}
-	// cfg.Quota is copied under m.mu when the tenant is evicted, so the
-	// remembered config always reflects the latest SetQuota.
-	t.m.mu.Lock()
-	t.cfg.Quota = q
-	t.m.mu.Unlock()
-	t.lim.Store(newLimiter(q, nil))
-	return nil
-}
-
-// Quota returns the quota currently enforced (zero = unlimited).
-func (t *Tenant) Quota() Quota {
-	if l := t.lim.Load(); l != nil {
-		return l.q
-	}
-	return Quota{}
-}
-
-// quotaThrottled annotates ctx's active trace span (if any) with a
-// quota rejection: a 429 inside a sampled trace must say which bucket
-// ran dry, or the trace answers "slow" but not "throttled why".
-func quotaThrottled(ctx context.Context, err error) {
-	sp := trace.FromContext(ctx)
-	if sp == nil {
-		return
-	}
-	sp.Event("quota.throttled")
-	var qe *QuotaError
-	if errors.As(err, &qe) {
-		sp.SetAttr("quota.resource", qe.Resource)
-		sp.SetAttr("quota.retry_after", qe.RetryAfter.String())
-	}
-}
-
-// Dist answers one distance query (see Oracle.Dist).
-func (t *Tenant) Dist(u, v int) (DistResult, error) {
-	return t.DistCtx(context.Background(), u, v)
-}
-
-// DistCtx is Dist with a caller context; a sampled request's trace gains
-// the oracle/tier child spans and a quota-throttle event on rejection.
-func (t *Tenant) DistCtx(ctx context.Context, u, v int) (DistResult, error) {
-	if err := t.allow(1); err != nil {
-		quotaThrottled(ctx, err)
-		return DistResult{}, err
-	}
-	t.touch()
-	res, err := t.o.DistCtx(ctx, u, v)
-	if err != nil {
-		// The quota meters answered traffic; a failed query (not ready,
-		// out-of-range pair) produced nothing and gets its tokens back.
-		t.lim.Load().refundCall(1)
-	}
-	return res, err
-}
-
-// Batch answers many pairs from one snapshot (see Oracle.Batch). The whole
-// batch is charged against the answer quota up front — len(pairs) answer
-// tokens — so batching cannot launder load past a per-answer budget.
-func (t *Tenant) Batch(pairs []Pair) (BatchResult, error) {
-	return t.BatchCtx(context.Background(), pairs)
-}
-
-// BatchCtx is Batch with a caller context; see DistCtx.
-func (t *Tenant) BatchCtx(ctx context.Context, pairs []Pair) (BatchResult, error) {
-	if err := t.allow(len(pairs)); err != nil {
-		quotaThrottled(ctx, err)
-		return BatchResult{}, err
-	}
-	t.touch()
-	res, err := t.o.BatchCtx(ctx, pairs)
-	if err != nil {
-		t.lim.Load().refundCall(len(pairs))
-	}
-	return res, err
-}
-
-// Path answers one greedy-routing query (see Oracle.Path).
-func (t *Tenant) Path(u, v int) (PathResult, error) {
-	return t.PathCtx(context.Background(), u, v)
-}
-
-// PathCtx is Path with a caller context; see DistCtx.
-func (t *Tenant) PathCtx(ctx context.Context, u, v int) (PathResult, error) {
-	if err := t.allow(1); err != nil {
-		quotaThrottled(ctx, err)
-		return PathResult{}, err
-	}
-	t.touch()
-	res, err := t.o.PathCtx(ctx, u, v)
-	if err != nil {
-		t.lim.Load().refundCall(1)
-	}
-	return res, err
-}
-
-// Stats returns the tenant's oracle counters tagged with its identity.
-func (t *Tenant) Stats() TenantStats {
-	ts := TenantStats{
-		Name:      t.name,
-		Pinned:    t.cfg.Pinned,
-		Nodes:     int(t.nodes.Load()),
-		Age:       time.Since(t.created),
-		Throttled: t.throttled.Load(),
-		Oracle:    t.o.Stats(),
-	}
-	ts.Tier = ts.Oracle.Tier
-	// Read through the limiter, not t.cfg: the limiter pointer is atomic
-	// while cfg.Quota is only synchronized with eviction's copy.
-	if l := t.lim.Load(); l != nil {
-		q := l.q
-		ts.Quota = &q
-	}
-	return ts
 }

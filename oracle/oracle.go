@@ -280,10 +280,14 @@ type Stats struct {
 	// the engine entirely).
 	LastBuildPhases []PhaseTiming `json:"last_build_phases,omitempty"`
 	// Restores counts snapshots published by RestoreSnapshot — estimates
-	// served without paying for an engine run. Cold restores (restoreCold)
+	// served without paying for an engine run. Cold restores (a Manager load)
 	// count here too: either way the estimate came from disk, not the engine.
 	Restores uint64 `json:"restores"`
-	// Pending reports whether a rebuild is queued or running.
+	// Pending reports whether an accepted graph or delta is queued, or
+	// accepted but not yet completed (published or failed). It turns false
+	// in the same step that lets Wait return for the newest version, so a
+	// tenant whose Wait has returned is idle to eviction even while its
+	// build goroutine is still running completion hooks.
 	Pending bool `json:"pending"`
 	// Tier reports where the serving snapshot's rows live: "hot" (resident
 	// n×n matrix), "cold" (disk behind the hot-row cache), or "" before the
@@ -321,19 +325,19 @@ type Oracle struct {
 	cur atomic.Pointer[snapshot]
 	cnt counters
 
-	mu       sync.Mutex
-	version  uint64       // last version assigned (SetGraph, restore, or reservation)
-	graphSet bool         // a SetGraph or ApplyDelta has been accepted (blocks restores)
-	pending  *pendingWork // coalesced work awaiting the build loop (nil = none)
+	mu      sync.Mutex
+	version uint64       // last version assigned (SetGraph, restore, or reservation)
+	pending *pendingWork // coalesced work awaiting the build loop (nil = none)
 	// latestG/latestV are the newest accepted graph and the version it will
 	// (or did) publish under — they cover the window where the build loop has
 	// popped the pending unit but not yet published it, when neither o.pending
 	// nor o.cur reflects the newest registered state. ApplyDelta must extend
 	// THIS graph: validating against the still-serving snapshot there would
-	// silently drop the in-flight changes from the successor.
+	// silently drop the in-flight changes from the successor. A non-nil
+	// latestG also means a graph was accepted, which blocks restores.
 	latestG  *cliqueapsp.Graph
 	latestV  uint64
-	building bool          // build goroutine live
+	building bool          // build goroutine live (kickLocked's guard, not Stats.Pending)
 	lastDone uint64        // version of the last completed build attempt
 	lastErr  error         // error of that attempt (nil on success)
 	notify   chan struct{} // closed and replaced on every completion
@@ -390,15 +394,21 @@ func (o *Oracle) SetGraph(g *cliqueapsp.Graph) (uint64, error) {
 	if o.closed {
 		return 0, ErrClosed
 	}
-	o.version++
-	o.graphSet = true
 	// A fresh upload supersedes any queued deltas: deltas describe changes
 	// to a lineage this graph just replaced, so the work degrades to a full
 	// rebuild of the newest graph.
-	o.pending = &pendingWork{g: g, v: o.version}
-	o.latestG, o.latestV = g, o.version
+	return o.acceptLocked(&pendingWork{g: g}), nil
+}
+
+// acceptLocked queues w, whose graph becomes the newest accepted one, under
+// the next version, and returns that version. Callers hold o.mu.
+func (o *Oracle) acceptLocked(w *pendingWork) uint64 {
+	o.version++
+	w.v = o.version
+	o.pending = w
+	o.latestG, o.latestV = w.g, w.v
 	o.kickLocked()
-	return o.version, nil
+	return w.v
 }
 
 // kickLocked ensures the build loop is running. Callers hold o.mu.
@@ -438,17 +448,12 @@ func (o *Oracle) ApplyDelta(d cliqueapsp.GraphDelta) (uint64, error) {
 		if err != nil {
 			return 0, err
 		}
-		o.version++
-		o.graphSet = true
 		o.cnt.coalescedDeltas.Add(uint64(len(d.Edges)))
-		work := &pendingWork{g: g, v: o.version, baseV: o.pending.baseV}
+		work := &pendingWork{g: g, baseV: o.pending.baseV}
 		if o.pending.deltas != nil {
 			work.deltas = append(o.pending.deltas[:len(o.pending.deltas):len(o.pending.deltas)], d.Edges...)
 		}
-		o.pending = work
-		o.latestG, o.latestV = g, o.version
-		o.kickLocked()
-		return o.version, nil
+		return o.acceptLocked(work), nil
 	}
 	// No queued unit: the delta extends the newest accepted graph. That is
 	// latestG when one exists — it also covers work the build loop already
@@ -470,17 +475,11 @@ func (o *Oracle) ApplyDelta(d cliqueapsp.GraphDelta) (uint64, error) {
 	if err != nil {
 		return 0, err
 	}
-	o.version++
-	o.graphSet = true
-	o.pending = &pendingWork{
+	return o.acceptLocked(&pendingWork{
 		g:      g,
-		v:      o.version,
 		deltas: append([]cliqueapsp.EdgeDelta(nil), d.Edges...),
 		baseV:  baseV,
-	}
-	o.latestG, o.latestV = g, o.version
-	o.kickLocked()
-	return o.version, nil
+	}), nil
 }
 
 // baseGraph resolves the serving snapshot's input graph: resident for hot
@@ -622,14 +621,6 @@ func (o *Oracle) buildLoop() {
 				// this child measures persist+publish latency.
 				root.AddChild("oracle.publish", pubStart, time.Since(pubStart))
 			}
-			o.mu.Lock()
-			// Version-monotonic under the lock, as a belt: publishes are
-			// serialized with increasing versions and restores are refused
-			// once a SetGraph was accepted, so cur can never be newer here.
-			if cur := o.cur.Load(); cur == nil || cur.version < w.v {
-				o.cur.Store(snap)
-			}
-			o.mu.Unlock()
 			if repaired {
 				o.cnt.repairs.Add(1)
 			} else {
@@ -639,7 +630,15 @@ func (o *Oracle) buildLoop() {
 			o.cnt.rebuildErrors.Add(1)
 		}
 
+		// Publish and record completion in one critical section: once Wait
+		// can see the version, Stats no longer reports it pending.
 		o.mu.Lock()
+		// Version-monotonic under the lock, as a belt: publishes are
+		// serialized with increasing versions and restores are refused once
+		// a SetGraph was accepted, so cur can never be newer here.
+		if cur := o.cur.Load(); err == nil && (cur == nil || cur.version < w.v) {
+			o.cur.Store(snap)
+		}
 		o.lastDone, o.lastErr = w.v, err
 		close(o.notify)
 		o.notify = make(chan struct{})
@@ -715,89 +714,34 @@ func (o *Oracle) RestoreSnapshot(version uint64, g *cliqueapsp.Graph, res *cliqu
 	if res.Distances.N() != g.N() {
 		return fmt.Errorf("oracle: %d×%d distances for %d nodes", res.Distances.N(), res.Distances.N(), g.N())
 	}
-	o.mu.Lock()
-	defer o.mu.Unlock()
-	if o.closed {
-		return ErrClosed
-	}
-	if o.graphSet || o.cur.Load() != nil {
-		return fmt.Errorf("%w: restore v%d refused (last assigned version %d)", ErrSuperseded, version, o.version)
-	}
-	if o.version < version {
-		o.version = version
-	}
-	o.cur.Store(newSnapshot(version, g, res, &o.cnt))
-	o.cnt.restores.Add(1)
-	close(o.notify)
-	o.notify = make(chan struct{})
-	return nil
+	return o.install(newSnapshot(version, g, res, &o.cnt))
 }
 
-// restoreCold publishes a disk-backed snapshot as the serving state without
-// decoding it: RestoreSnapshot's semantics (pristine oracle only, live
-// intent wins) at tier cost — opening r touched only the sidecar or header,
-// never the O(n²) row block. The oracle takes ownership of r.
-func (o *Oracle) restoreCold(r *tier.Reader) error {
-	v := r.Version()
-	if v == 0 {
-		return fmt.Errorf("oracle: restore version must be ≥ 1")
-	}
+// install publishes a snapshot that comes from disk instead of a build:
+// into a pristine oracle — a restore, hot or cold, with RestoreSnapshot's
+// semantics — or over the serving snapshot of the same version in the other
+// tier — a demotion (s cold: the resident matrix, graph and next-hop rows
+// are freed once in-flight queries finish) or a promotion (s hot).
+// Anything else is ErrSuperseded: the live state moved on while the caller
+// prepared s, and wins. On success the oracle owns s, and with it a cold
+// snapshot's reader.
+func (o *Oracle) install(s *snapshot) error {
 	o.mu.Lock()
 	defer o.mu.Unlock()
 	if o.closed {
 		return ErrClosed
 	}
-	if o.graphSet || o.cur.Load() != nil {
-		return fmt.Errorf("%w: cold restore v%d refused (last assigned version %d)", ErrSuperseded, v, o.version)
+	switch cur := o.cur.Load(); {
+	case cur == nil && o.latestG == nil:
+		o.version = max(o.version, s.version)
+		o.cnt.restores.Add(1)
+		close(o.notify)
+		o.notify = make(chan struct{})
+	case cur == nil || cur.version != s.version || (cur.cold == nil) == (s.cold == nil):
+		return fmt.Errorf("%w: v%d from disk refused (serving v%d, last assigned version %d)",
+			ErrSuperseded, s.version, o.Version(), o.version)
 	}
-	if o.version < v {
-		o.version = v
-	}
-	o.cur.Store(newColdSnapshot(r, &o.cnt))
-	o.cnt.restores.Add(1)
-	close(o.notify)
-	o.notify = make(chan struct{})
-	return nil
-}
-
-// demote swaps the serving snapshot for a cold one over the same version:
-// the resident matrix, graph, and next-hop rows become unreferenced (freed
-// once in-flight queries finish) while queries keep being answered — now
-// from disk through r. ErrSuperseded means the serving version moved on (or
-// is already cold) while the caller was opening r; the caller keeps the hot
-// snapshot and closes r. On success the oracle takes ownership of r.
-func (o *Oracle) demote(r *tier.Reader) error {
-	o.mu.Lock()
-	defer o.mu.Unlock()
-	if o.closed {
-		return ErrClosed
-	}
-	cur := o.cur.Load()
-	if cur == nil || cur.cold != nil || cur.version != r.Version() {
-		return fmt.Errorf("%w: demote of v%d does not match serving snapshot", ErrSuperseded, r.Version())
-	}
-	o.cur.Store(newColdSnapshot(r, &o.cnt))
-	return nil
-}
-
-// promote is demote's inverse: swap a cold serving snapshot for the fully
-// decoded hot equivalent of the same version. The oracle takes ownership of
-// g and res; ErrSuperseded means the serving snapshot is no longer that
-// cold version (a build landed, or a concurrent promote won).
-func (o *Oracle) promote(version uint64, g *cliqueapsp.Graph, res *cliqueapsp.Result) error {
-	if g == nil || res == nil || res.Distances == nil {
-		return fmt.Errorf("oracle: nil graph or result")
-	}
-	o.mu.Lock()
-	defer o.mu.Unlock()
-	if o.closed {
-		return ErrClosed
-	}
-	cur := o.cur.Load()
-	if cur == nil || cur.cold == nil || cur.version != version {
-		return fmt.Errorf("%w: promote of v%d does not match serving snapshot", ErrSuperseded, version)
-	}
-	o.cur.Store(newSnapshot(version, g, res, &o.cnt))
+	o.cur.Store(s)
 	return nil
 }
 
@@ -837,10 +781,7 @@ func (o *Oracle) Wait(ctx context.Context, version uint64) error {
 			return nil
 		}
 		if done >= version {
-			if doneErr != nil {
-				return doneErr
-			}
-			return nil
+			return doneErr
 		}
 		if closed {
 			return ErrClosed
@@ -1027,7 +968,9 @@ func (o *Oracle) Stats() Stats {
 		}
 	}
 	o.mu.Lock()
-	st.Pending = o.building || o.pending != nil
+	// Every accepted graph carries latestV (queued work included), and
+	// lastDone advances as each publish lands: pending until completed.
+	st.Pending = o.latestV > o.lastDone
 	o.mu.Unlock()
 	return st
 }
