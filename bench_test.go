@@ -1,6 +1,7 @@
 package cliqueapsp
 
 import (
+	"context"
 	"testing"
 
 	"github.com/congestedclique/cliqueapsp/internal/experiments"
@@ -78,9 +79,10 @@ func BenchmarkA3BandwidthRegime(b *testing.B) { benchExperiment(b, "a3") }
 // the public API (the per-run cost a library user pays).
 func BenchmarkPipelineConstant(b *testing.B) {
 	g := RandomGraph(96, 40, 3)
+	eng := New()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := Run(g, Options{Algorithm: AlgConstant, Seed: int64(i)}); err != nil {
+		if _, err := eng.Run(context.Background(), g, WithAlgorithm(AlgConstant), WithSeed(int64(i))); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -90,9 +92,10 @@ func BenchmarkPipelineConstant(b *testing.B) {
 // API.
 func BenchmarkPipelineLogApprox(b *testing.B) {
 	g := RandomGraph(96, 40, 3)
+	eng := New()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := Run(g, Options{Algorithm: AlgLogApprox, Seed: int64(i)}); err != nil {
+		if _, err := eng.Run(context.Background(), g, WithAlgorithm(AlgLogApprox), WithSeed(int64(i))); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -102,9 +105,10 @@ func BenchmarkPipelineLogApprox(b *testing.B) {
 // public API.
 func BenchmarkPipelineExact(b *testing.B) {
 	g := RandomGraph(96, 40, 3)
+	eng := New()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := Run(g, Options{Algorithm: AlgExact}); err != nil {
+		if _, err := eng.Run(context.Background(), g, WithAlgorithm(AlgExact)); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -30,22 +30,6 @@ func ExampleEngine_Run() {
 	// factor = 1
 }
 
-// The deprecated one-shot wrapper still works and maps onto the Engine.
-func ExampleRun() {
-	g := cliqueapsp.NewGraph(4)
-	_ = g.AddEdge(0, 1, 3)
-	_ = g.AddEdge(1, 2, 1)
-	_ = g.AddEdge(2, 3, 2)
-
-	res, err := cliqueapsp.Run(g, cliqueapsp.Options{Algorithm: cliqueapsp.AlgExact})
-	if err != nil {
-		log.Fatal(err)
-	}
-	fmt.Println("d(0,3) =", res.Distances.At(0, 3))
-	// Output:
-	// d(0,3) = 6
-}
-
 // Distance estimates translate directly into routing tables.
 func ExampleNextHopTables() {
 	g := cliqueapsp.NewGraph(3)

@@ -2,6 +2,7 @@ package oracle_test
 
 import (
 	"errors"
+	"reflect"
 	"sync"
 	"testing"
 	"time"
@@ -340,5 +341,171 @@ func TestManagerColdConcurrency(t *testing.T) {
 	}
 	if _, err := m.Get("zzz"); !errors.Is(err, oracle.ErrTenantNotFound) {
 		t.Fatalf("deleted tenant still resolvable: %v", err)
+	}
+}
+
+// servedAnswers is everything a tenant serves for every pair of its n
+// nodes: Dist, one all-pairs Batch, and Path with each error reduced to
+// its kind.
+type servedAnswers struct {
+	dist  []oracle.DistResult
+	batch oracle.BatchResult
+	paths []oracle.PathResult
+	kinds []string
+}
+
+func recordAnswers(t *testing.T, tn *oracle.Tenant, n int) servedAnswers {
+	t.Helper()
+	var a servedAnswers
+	pairs := make([]oracle.Pair, 0, n*n)
+	for u := 0; u < n; u++ {
+		for v := 0; v < n; v++ {
+			pairs = append(pairs, oracle.Pair{U: u, V: v})
+			dr, err := tn.Dist(u, v)
+			if err != nil {
+				t.Fatalf("%s: Dist(%d,%d): %v", tn.Name(), u, v, err)
+			}
+			pr, err := tn.Path(u, v)
+			kind := ""
+			if errors.Is(err, cliqueapsp.ErrNoRoute) {
+				kind = "no-route"
+			} else if err != nil {
+				t.Fatalf("%s: Path(%d,%d): %v", tn.Name(), u, v, err)
+			}
+			a.dist = append(a.dist, dr)
+			a.paths = append(a.paths, pr)
+			a.kinds = append(a.kinds, kind)
+		}
+	}
+	br, err := tn.Batch(pairs)
+	if err != nil {
+		t.Fatalf("%s: Batch: %v", tn.Name(), err)
+	}
+	a.batch = br
+	return a
+}
+
+// TestTierHotColdIdentical: a tenant serves the same Dist, Batch and Path
+// answers — distances, path node sequences, versions and error kinds —
+// whether its snapshot is resident or read off disk. The graph has
+// zero-weight ties (where greedy forwarding can loop even over exact
+// distances) and an unreachable component, and one tenant serves the
+// approximate constant estimate, where forwarding also dead-ends.
+func TestTierHotColdIdentical(t *testing.T) {
+	const n = 27
+	g := cliqueapsp.NewGraph(n)
+	for _, e := range cliqueapsp.RandomGraph(24, 100, 1).Edges() {
+		if err := g.AddEdge(e.U, e.V, e.W); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, e := range [][2]int{{0, 12}, {12, 5}, {3, 17}, {8, 20}, {24, 25}} {
+		if err := g.AddEdge(e[0], e[1], 0); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	dir := openStore(t)
+	m1 := oracle.NewManager(oracle.ManagerConfig{
+		Base:  oracle.Config{Algorithm: "test-exact", RunOptions: []cliqueapsp.RunOption{cliqueapsp.WithSeed(1)}},
+		Store: dir,
+	})
+	algs := map[string]cliqueapsp.Algorithm{"approx": cliqueapsp.AlgConstant, "exact": "test-exact"}
+	hot := make(map[string]servedAnswers, len(algs))
+	for name, alg := range algs {
+		tn := mustTenant(t, m1, name, oracle.TenantConfig{Algorithm: alg})
+		setAndWait(t, tn, g)
+		hot[name] = recordAnswers(t, tn, n)
+	}
+	m1.Close()
+	if reflect.DeepEqual(hot["approx"].dist, hot["exact"].dist) {
+		t.Fatal("the constant estimate is exact on this graph; the test needs an approximate one")
+	}
+
+	m2 := coldManager(dir, n, 4) // two tenants of n nodes: both restore cold
+	defer m2.Close()
+	if restored, failed, err := m2.RestoreAll(nil); err != nil || restored != len(algs) || failed != 0 {
+		t.Fatalf("RestoreAll = (%d, %d, %v)", restored, failed, err)
+	}
+	for name := range algs {
+		tn, err := m2.Get(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if tier := tn.Stats().Tier; tier != "cold" {
+			t.Fatalf("%s restored %s, want cold", name, tier)
+		}
+		want, got := hot[name], recordAnswers(t, tn, n)
+		if !reflect.DeepEqual(got.batch, want.batch) {
+			t.Fatalf("%s: cold Batch differs from hot", name)
+		}
+		for i := range want.dist {
+			if got.dist[i] != want.dist[i] {
+				t.Fatalf("%s: Dist cold %+v, hot %+v", name, got.dist[i], want.dist[i])
+			}
+			if got.kinds[i] != want.kinds[i] || !reflect.DeepEqual(got.paths[i], want.paths[i]) {
+				t.Fatalf("%s: Path cold %+v (%q), hot %+v (%q)",
+					name, got.paths[i], got.kinds[i], want.paths[i], want.kinds[i])
+			}
+		}
+	}
+}
+
+// TestTierColdReadError: a cold Path whose next-hop build fails on a row
+// read mid-route reports ErrColdRead, not ErrNoRoute; the failed row is not
+// memoized, and the same query succeeds once the file reads again.
+func TestTierColdReadError(t *testing.T) {
+	dir := openStore(t)
+	m1 := oracle.NewManager(oracle.ManagerConfig{
+		Base:  oracle.Config{Algorithm: "test-exact"},
+		Store: dir,
+	})
+	setAndWait(t, mustTenant(t, m1, "alpha", oracle.TenantConfig{}), pathGraph(t, 16, 3))
+	m1.Close()
+
+	m := coldManager(dir, 8, 2)
+	defer m.Close()
+	if restored, failed, err := m.RestoreAll(nil); err != nil || restored != 1 || failed != 0 {
+		t.Fatalf("RestoreAll = (%d, %d, %v)", restored, failed, err)
+	}
+	tn, err := m.Get("alpha")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if tier := tn.Stats().Tier; tier != "cold" {
+		t.Fatalf("alpha restored %s, want cold", tier)
+	}
+	// Path(0,1) decodes the graph, memoizes next-hop row 0, and leaves
+	// distance rows 0 and 1 in the two-row cache.
+	if pr, err := tn.Path(0, 1); err != nil || pr.Cost != 3 {
+		t.Fatalf("warm-up Path = %+v, %v", pr, err)
+	}
+	built := tn.Stats().Oracle.RowsBuilt
+
+	// Empty the snapshot in place: the reader's open file now fails every
+	// read the cache does not absorb. Routing 0→15 reads rows 0 and 1 from
+	// the cache, then fails building next-hop row 1 on distance row 2.
+	var saved []byte
+	damage(t, dir.Root(), "alpha", ".snap", func(raw []byte) []byte { saved = raw; return nil })
+	_, err = tn.Path(0, 15)
+	if !errors.Is(err, oracle.ErrColdRead) || errors.Is(err, cliqueapsp.ErrNoRoute) {
+		t.Fatalf("Path over a failing row read: %v, want ErrColdRead", err)
+	}
+	if _, err := tn.Dist(5, 9); !errors.Is(err, oracle.ErrColdRead) {
+		t.Fatalf("Dist over a failing row read: %v, want ErrColdRead", err)
+	}
+	if got := tn.Stats().Oracle.RowsBuilt; got != built {
+		t.Fatalf("failed query counted %d built rows", got-built)
+	}
+
+	damage(t, dir.Root(), "alpha", ".snap", func([]byte) []byte { return saved })
+	pr, err := tn.Path(0, 15)
+	if err != nil || pr.Cost != 45 || len(pr.Path) != 16 {
+		t.Fatalf("Path after the fault cleared = %+v, %v — want cost 45 over 16 nodes", pr, err)
+	}
+	// Rows 1..14 are built now, row 1 included: its failed build left
+	// nothing behind.
+	if got := tn.Stats().Oracle.RowsBuilt; got != built+14 {
+		t.Fatalf("retry built %d rows, want 14", got-built)
 	}
 }

@@ -14,8 +14,12 @@
 // the latest pending graph is built.
 //
 // Path queries route greedily over per-source next-hop rows
-// (cliqueapsp.NextHopRow) that are memoized lazily per snapshot, so serving
-// paths from a few hot sources never pays the full n² NextHopTables build.
+// (cliqueapsp.NextHopRowFrom) that are memoized lazily per snapshot, so
+// serving paths from a few hot sources never pays the full n² NextHopTables
+// build. Hot and cold snapshots differ only in where a distance row and the
+// graph come from (resident, or read off disk through the tier package);
+// everything above those two reads is one implementation, so both tiers
+// serve identical answers and paths.
 package oracle
 
 import (
@@ -465,7 +469,7 @@ func (o *Oracle) ApplyDelta(d cliqueapsp.GraphDelta) (uint64, error) {
 		if cur == nil {
 			return 0, ErrNoGraph
 		}
-		bg, err := o.baseGraph(cur)
+		bg, err := cur.graph(context.Background())
 		if err != nil {
 			return 0, err
 		}
@@ -480,21 +484,6 @@ func (o *Oracle) ApplyDelta(d cliqueapsp.GraphDelta) (uint64, error) {
 		deltas: append([]cliqueapsp.EdgeDelta(nil), d.Edges...),
 		baseV:  baseV,
 	}), nil
-}
-
-// baseGraph resolves the serving snapshot's input graph: resident for hot
-// snapshots, lazily decoded from the snapshot file for cold ones (a cold
-// base always rebuilds, but the delta still needs a graph to validate and
-// apply against).
-func (o *Oracle) baseGraph(cur *snapshot) (*cliqueapsp.Graph, error) {
-	if cur.cold != nil {
-		g, err := cur.cold.Graph()
-		if err != nil {
-			return nil, fmt.Errorf("%w: %w", ErrColdRead, err)
-		}
-		return g, nil
-	}
-	return cur.g, nil
 }
 
 // copyGraph snapshots the caller's graph at registration time: one O(m)

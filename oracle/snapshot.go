@@ -13,17 +13,16 @@ import (
 
 // snapshot is one published build: the graph, the engine result, and lazily
 // materialized routing state. Everything except the memoization slots is
-// immutable after publication; the slots are guarded per-row by sync.Once,
-// so concurrent Path queries build each row at most once and never block
-// each other across rows.
+// immutable after publication.
 //
 // A snapshot comes in two tiers. A HOT snapshot holds the full n×n estimate
-// resident (res.Distances) and answers like it always has. A COLD snapshot
-// (cold != nil) holds no distance rows at all: every row read goes through a
-// tier.Reader — one pread behind a bounded hot-row LRU — and the graph
-// itself decodes lazily from the snapshot file only if a Path query needs
-// it. Cold answers are bit-identical to hot ones (same rows, same
-// tie-breaking), they just cost a disk read on a cache miss.
+// resident (res.Distances). A COLD snapshot (cold != nil) holds no distance
+// rows at all: every row read goes through a tier.Reader — one pread behind
+// a bounded hot-row LRU — and the graph itself decodes lazily from the
+// snapshot file only if a Path query needs it. The tiers differ only in
+// distRow and graph; answers, next-hop rows, the router and path walks are
+// built on those two calls alone, so cold answers are identical to hot
+// ones, they just cost a disk read on a cache miss.
 type snapshot struct {
 	version  uint64
 	builtAt  time.Time
@@ -35,35 +34,23 @@ type snapshot struct {
 	cnt      *counters
 	cold     *tier.Reader // non-nil = rows live on disk behind the row cache
 
-	// Hot next-hop memoization: built at most once per row, no failure mode
-	// (the resident matrix cannot error). rowBuilt mirrors rowOnce with an
-	// observable flag: the repair path reads it (atomically, for the
-	// happens-before with the builder's Store) to carry finished rows into
-	// a successor snapshot. rowOnce itself must never be probed from outside
-	// row() — a Do on the still-serving snapshot would mark an unbuilt row
-	// as done.
-	rowOnce  []sync.Once
-	rowBuilt []atomic.Bool
-	rows     [][]int
+	// Next-hop memo: rows[u] is read lock-free once published. A miss goes
+	// through one single-flight build per row (flights, under nhMu); a
+	// failed build — a cold row read — is not stored, so a transient error
+	// never poisons the row. Stored rows are immutable, which lets a
+	// repaired successor share them (newRepairedSnapshot).
+	rows    []atomic.Pointer[[]int]
+	nhMu    sync.Mutex
+	flights map[int]*nhFlight
 
-	routerOnce sync.Once
-	router     *cliqueapsp.GreedyRouter
-
-	// Cold next-hop memoization: a row build reads deg(src) distance rows
-	// off disk and can fail, so it is a single-flight memo that retries on
-	// failure instead of a sync.Once that would poison the row forever. The
-	// memoized rows land in the same rows slice the hot path uses.
-	nhMu      sync.Mutex
-	nhFlights map[int]*nhFlight
-	deadOnce  sync.Once
-	deadRow   []int
-
-	crMu    sync.Mutex
-	crouter *cliqueapsp.GreedyRouter
+	// The greedy router, built on the first Path; a failed cold graph
+	// decode is retried by the next one.
+	rtMu sync.Mutex
+	rt   atomic.Pointer[cliqueapsp.GreedyRouter]
 }
 
-// nhFlight is one in-progress cold next-hop row build; done closes after
-// row/err are set.
+// nhFlight is one in-progress next-hop row build; done closes after row/err
+// are set.
 type nhFlight struct {
 	done chan struct{}
 	row  []int
@@ -71,38 +58,29 @@ type nhFlight struct {
 }
 
 func newSnapshot(version uint64, g *cliqueapsp.Graph, res *cliqueapsp.Result, cnt *counters) *snapshot {
-	n := g.N()
 	return &snapshot{
-		version:  version,
-		builtAt:  time.Now(),
-		g:        g,
-		res:      res,
-		n:        n,
-		cnt:      cnt,
-		rowOnce:  make([]sync.Once, n),
-		rowBuilt: make([]atomic.Bool, n),
-		rows:     make([][]int, n),
+		version: version,
+		builtAt: time.Now(),
+		g:       g,
+		res:     res,
+		n:       g.N(),
+		cnt:     cnt,
+		rows:    make([]atomic.Pointer[[]int], g.N()),
 	}
 }
 
 // newRepairedSnapshot is newSnapshot plus next-hop carryover: rows the base
 // snapshot already materialized stay valid on the successor wherever the
 // repair proved them untouched (reuse[u]), so a patched tenant does not
-// re-derive its hot routing state. Rows are immutable once built, so sharing
-// the slice with the still-serving base is safe; the atomic rowBuilt load
-// orders this read after the base's builder finished writing.
+// re-derive its hot routing state.
 func newRepairedSnapshot(version uint64, g *cliqueapsp.Graph, res *cliqueapsp.Result, cnt *counters, base *snapshot, reuse []bool) *snapshot {
 	s := newSnapshot(version, g, res, cnt)
-	if base == nil || base.rowBuilt == nil || base.n != s.n || len(reuse) != s.n {
+	if base == nil || base.n != s.n || len(reuse) != s.n {
 		return s
 	}
-	for u := 0; u < s.n; u++ {
-		if reuse[u] && base.rowBuilt[u].Load() {
-			s.rows[u] = base.rows[u]
-			// Consuming the Once here is safe: s is not yet published, so
-			// this goroutine is its only user.
-			s.rowOnce[u].Do(func() {})
-			s.rowBuilt[u].Store(true)
+	for u, ok := range reuse {
+		if ok {
+			s.rows[u].Store(base.rows[u].Load())
 		}
 	}
 	return s
@@ -123,11 +101,10 @@ func newColdSnapshot(r *tier.Reader, cnt *counters) *snapshot {
 			FactorBound: ix.FactorBound,
 			Seed:        ix.Seed,
 		},
-		n:         ix.N,
-		cnt:       cnt,
-		cold:      r,
-		rows:      make([][]int, ix.N),
-		nhFlights: make(map[int]*nhFlight),
+		n:    ix.N,
+		cnt:  cnt,
+		cold: r,
+		rows: make([]atomic.Pointer[[]int], ix.N),
 	}
 }
 
@@ -138,61 +115,62 @@ func (s *snapshot) check(u, v int) error {
 	return nil
 }
 
-// answer resolves one pair. Hot snapshots cannot fail; cold ones surface
-// row-read failures wrapped in ErrColdRead. ctx only carries the active
-// trace span (if the request is sampled); it does not cancel the read.
+// distRow returns node x's distance row (shared, read-only). Hot snapshots
+// cannot fail; cold ones surface read failures wrapped in ErrColdRead. ctx
+// only carries the active trace span (if the request is sampled); it does
+// not cancel the read.
+func (s *snapshot) distRow(ctx context.Context, x int) ([]int64, error) {
+	if s.cold == nil {
+		return s.res.Distances.Row(x), nil
+	}
+	row, err := s.cold.RowCtx(ctx, x)
+	if err != nil {
+		return nil, fmt.Errorf("%w: %w", ErrColdRead, err)
+	}
+	return row, nil
+}
+
+// graph returns the snapshot's input graph: resident when hot, decoded
+// lazily (and retried on failure) when cold.
+func (s *snapshot) graph(ctx context.Context) (*cliqueapsp.Graph, error) {
+	if s.cold == nil {
+		return s.g, nil
+	}
+	g, err := s.cold.GraphCtx(ctx)
+	if err != nil {
+		return nil, fmt.Errorf("%w: %w", ErrColdRead, err)
+	}
+	return g, nil
+}
+
+// answer resolves one pair.
 func (s *snapshot) answer(ctx context.Context, u, v int) (Answer, error) {
 	a := Answer{U: u, V: v, Distance: Unreachable}
-	if s.cold != nil {
-		row, err := s.cold.RowCtx(ctx, u)
-		if err != nil {
-			return a, fmt.Errorf("%w: %w", ErrColdRead, err)
-		}
-		if d := row[v]; d < cliqueapsp.Inf {
-			a.Distance, a.Reachable = d, true
-		}
-		return a, nil
+	row, err := s.distRow(ctx, u)
+	if err != nil {
+		return a, err
 	}
-	if s.res.Distances.Reachable(u, v) {
-		a.Distance, a.Reachable = s.res.Distances.At(u, v), true
+	if d := row[v]; d < cliqueapsp.Inf {
+		a.Distance, a.Reachable = d, true
 	}
 	return a, nil
 }
 
-// row returns node u's memoized next-hop row, building it on first use.
-// Hot-only: the resident matrix cannot fail mid-build.
-func (s *snapshot) row(u int) []int {
-	hit := true
-	s.rowOnce[u].Do(func() {
-		hit = false
-		r, err := cliqueapsp.NextHopRow(s.g, s.res.Distances, u)
-		if err != nil {
-			// Unreachable: u and the matrix dimension were validated when the
-			// snapshot was built.
-			panic(fmt.Sprintf("oracle: next-hop row %d: %v", u, err))
-		}
-		s.rows[u] = r
-		s.rowBuilt[u].Store(true)
-		s.cnt.rowsBuilt.Add(1)
-	})
-	if hit {
+// nextHop returns node u's memoized next-hop row, building it on first use
+// from the distance rows of u's neighbors (on a cold snapshot, one read per
+// neighbor, mostly absorbed by the row cache).
+func (s *snapshot) nextHop(ctx context.Context, u int) ([]int, error) {
+	if r := s.rows[u].Load(); r != nil {
 		s.cnt.rowHits.Add(1)
+		return *r, nil
 	}
-	return s.rows[u]
-}
-
-// coldRow returns node u's memoized next-hop row on a cold snapshot,
-// deriving it from disk-backed distance rows (one read per neighbor of u,
-// mostly absorbed by the hot-row cache). Failed builds are not memoized:
-// a transient read error must not poison the row.
-func (s *snapshot) coldRow(ctx context.Context, u int) ([]int, error) {
 	s.nhMu.Lock()
-	if r := s.rows[u]; r != nil {
-		s.cnt.rowHits.Add(1)
+	if r := s.rows[u].Load(); r != nil {
 		s.nhMu.Unlock()
-		return r, nil
+		s.cnt.rowHits.Add(1)
+		return *r, nil
 	}
-	if fl, ok := s.nhFlights[u]; ok {
+	if fl, ok := s.flights[u]; ok {
 		s.nhMu.Unlock()
 		<-fl.done
 		if fl.err == nil {
@@ -200,128 +178,71 @@ func (s *snapshot) coldRow(ctx context.Context, u int) ([]int, error) {
 		}
 		return fl.row, fl.err
 	}
+	if s.flights == nil {
+		s.flights = make(map[int]*nhFlight)
+	}
 	fl := &nhFlight{done: make(chan struct{})}
-	s.nhFlights[u] = fl
+	s.flights[u] = fl
 	s.nhMu.Unlock()
 
-	fl.row, fl.err = s.buildColdRow(ctx, u)
-
-	s.nhMu.Lock()
-	delete(s.nhFlights, u)
-	if fl.err == nil {
-		s.rows[u] = fl.row
+	row, err := s.buildNextHop(ctx, u)
+	if err == nil {
+		s.rows[u].Store(&row)
 		s.cnt.rowsBuilt.Add(1)
 	}
+	fl.row, fl.err = row, err
+	s.nhMu.Lock()
+	delete(s.flights, u)
 	s.nhMu.Unlock()
 	close(fl.done)
 	return fl.row, fl.err
 }
 
-func (s *snapshot) buildColdRow(ctx context.Context, u int) ([]int, error) {
-	g, err := s.cold.GraphCtx(ctx)
+func (s *snapshot) buildNextHop(ctx context.Context, u int) ([]int, error) {
+	g, err := s.graph(ctx)
 	if err != nil {
 		return nil, err
 	}
-	// The closure keeps the caller's trace context flowing into the per-
-	// neighbor distance-row reads NextHopRowFrom performs.
-	return cliqueapsp.NextHopRowFrom(g, u, func(x int) ([]int64, error) {
-		return s.cold.RowCtx(ctx, x)
-	})
+	// The closure keeps the caller's trace context flowing into the
+	// per-neighbor distance-row reads.
+	return cliqueapsp.NextHopRowFrom(g, u, func(x int) ([]int64, error) { return s.distRow(ctx, x) })
 }
 
-// dead is an all-dead-ends next-hop row: RouteVia reports ErrNoRoute on it
-// immediately, which coldPath then overrides with the real read error.
-func (s *snapshot) dead() []int {
-	s.deadOnce.Do(func() {
-		d := make([]int, s.n)
-		for i := range d {
-			d[i] = -1
-		}
-		s.deadRow = d
-	})
-	return s.deadRow
-}
-
-// coldRouter builds the greedy router over the lazily decoded graph. Like
-// coldRow it retries on failure instead of memoizing an error.
-func (s *snapshot) coldRouter(ctx context.Context) (*cliqueapsp.GreedyRouter, error) {
-	s.crMu.Lock()
-	defer s.crMu.Unlock()
-	if s.crouter != nil {
-		return s.crouter, nil
+// router returns the snapshot's greedy router, building it on first use.
+func (s *snapshot) router(ctx context.Context) (*cliqueapsp.GreedyRouter, error) {
+	if r := s.rt.Load(); r != nil {
+		return r, nil
 	}
-	g, err := s.cold.GraphCtx(ctx)
+	s.rtMu.Lock()
+	defer s.rtMu.Unlock()
+	if r := s.rt.Load(); r != nil {
+		return r, nil
+	}
+	g, err := s.graph(ctx)
 	if err != nil {
 		return nil, err
 	}
-	// The router's own rows callback is a fallback only: cold routing always
-	// goes through RouteVia with a per-call error slot (and that call's
-	// trace context; this fallback has none).
-	s.crouter = cliqueapsp.NewGreedyRouter(g, func(src int) []int {
-		r, err := s.coldRow(context.Background(), src)
-		if err != nil {
-			return s.dead()
-		}
-		return r
-	})
-	return s.crouter, nil
+	r := cliqueapsp.NewGreedyRouter(g, nil)
+	s.rt.Store(r)
+	return r, nil
 }
 
-// path routes greedily from u to v over memoized next-hop rows, via the
-// library's GreedyRouter (built once per snapshot on first use).
+// path routes greedily from u to v over memoized next-hop rows. A row read
+// failing mid-route surfaces as the ErrColdRead it is, not as ErrNoRoute.
 func (s *snapshot) path(ctx context.Context, u, v int) (PathResult, error) {
-	if s.cold != nil {
-		return s.coldPath(ctx, u, v)
-	}
 	res := PathResult{U: u, V: v, Cost: Unreachable, Version: s.version}
-	if !s.res.Distances.Reachable(u, v) {
-		return res, nil
+	a, err := s.answer(ctx, u, v)
+	if err != nil || !a.Reachable {
+		return res, err
 	}
-	s.routerOnce.Do(func() {
-		s.router = cliqueapsp.NewGreedyRouter(s.g, s.row)
-	})
-	path, cost, err := s.router.Route(u, v)
+	rt, err := s.router(ctx)
+	if err != nil {
+		return res, err
+	}
+	path, cost, err := rt.RouteVia(u, v, func(src int) ([]int, error) { return s.nextHop(ctx, src) })
 	if err != nil {
 		// ErrNoRoute on a reachable pair means greedy forwarding looped or
 		// dead-ended on the approximate estimate — surfaced, not guessed.
-		return res, fmt.Errorf("oracle: snapshot v%d: %w", s.version, err)
-	}
-	res.Reachable, res.Path, res.Cost = true, path, cost
-	return res, nil
-}
-
-// coldPath is path over disk-backed rows: reachability from one row read,
-// routing over cold next-hop rows resolved through RouteVia so a mid-route
-// read failure surfaces as the I/O error it is, not as ErrNoRoute.
-func (s *snapshot) coldPath(ctx context.Context, u, v int) (PathResult, error) {
-	res := PathResult{U: u, V: v, Cost: Unreachable, Version: s.version}
-	urow, err := s.cold.RowCtx(ctx, u)
-	if err != nil {
-		return res, fmt.Errorf("%w: %w", ErrColdRead, err)
-	}
-	if urow[v] >= cliqueapsp.Inf {
-		return res, nil
-	}
-	router, err := s.coldRouter(ctx)
-	if err != nil {
-		return res, fmt.Errorf("%w: %w", ErrColdRead, err)
-	}
-	var rerr error
-	rows := func(src int) []int {
-		r, err := s.coldRow(ctx, src)
-		if err != nil {
-			if rerr == nil {
-				rerr = err
-			}
-			return s.dead()
-		}
-		return r
-	}
-	path, cost, err := router.RouteVia(u, v, rows)
-	if rerr != nil {
-		return res, fmt.Errorf("%w: %w", ErrColdRead, rerr)
-	}
-	if err != nil {
 		return res, fmt.Errorf("oracle: snapshot v%d: %w", s.version, err)
 	}
 	res.Reachable, res.Path, res.Cost = true, path, cost

@@ -18,12 +18,7 @@ func NextHopRow(g *Graph, distances *DistanceMatrix, src int) ([]int, error) {
 	if err := checkDistances(g, distances); err != nil {
 		return nil, err
 	}
-	if src < 0 || src >= g.N() {
-		return nil, fmt.Errorf("cliqueapsp: source %d out of range for n=%d", src, g.N())
-	}
-	row := make([]int, g.N())
-	nextHopInto(row, arcsOf(g, src), distances, src)
-	return row, nil
+	return NextHopRowFrom(g, src, func(x int) ([]int64, error) { return distances.Row(x), nil })
 }
 
 // NextHopRowFrom computes node src's next-hop row like NextHopRow, but
@@ -31,9 +26,9 @@ func NextHopRow(g *Graph, distances *DistanceMatrix, src int) ([]int, error) {
 // the building block for estimates that live on disk (the tier package's
 // snapshot readers). row(x) must return node x's full distance vector
 // (length n, treated read-only); it is called once per neighbor of src, so a
-// caching provider pays at most deg(src) row loads. Tie-breaking matches
-// NextHopRow exactly: the smallest neighbor index wins equal costs, so hot
-// and cold serving produce identical routes.
+// caching provider pays at most deg(src) row loads. It is the one next-hop
+// selection loop behind NextHopRow and NextHopTables: the smallest neighbor
+// index wins equal costs, so every row source yields identical routes.
 func NextHopRowFrom(g *Graph, src int, row func(x int) ([]int64, error)) ([]int, error) {
 	n := g.N()
 	if src < 0 || src >= n {
@@ -60,8 +55,11 @@ func NextHopRowFrom(g *Graph, src int, row func(x int) ([]int64, error)) ([]int,
 		}
 		for v := 0; v < n; v++ {
 			d := r[v]
-			// Same Inf saturation as nextHopInto: a candidate at or above
-			// Inf is unreachable and must not be elected.
+			// Saturating addition, mirroring minplus.SatAdd: a candidate whose
+			// cost lands at or above Inf is just as unreachable as one with an
+			// infinite estimate and must not be elected. With both operands
+			// below Inf the sum stays below MaxInt64/2, so the plain addition
+			// cannot overflow.
 			if d >= Inf {
 				continue
 			}
@@ -83,49 +81,15 @@ func NextHopRowFrom(g *Graph, src int, row func(x int) ([]int64, error)) ([]int,
 // classic application of (approximate) APSP to network routing that
 // motivates the problem (paper §1).
 func NextHopTables(g *Graph, distances *DistanceMatrix) ([][]int, error) {
-	if err := checkDistances(g, distances); err != nil {
-		return nil, err
-	}
-	n := g.N()
-	adj := adjacency(g)
-	table := make([][]int, n)
-	for u := 0; u < n; u++ {
-		table[u] = make([]int, n)
-		nextHopInto(table[u], adj[u], distances, u)
+	table := make([][]int, g.N())
+	for u := range table {
+		row, err := NextHopRow(g, distances, u)
+		if err != nil {
+			return nil, err
+		}
+		table[u] = row
 	}
 	return table, nil
-}
-
-// nextHopInto fills row with node u's greedy next hops toward every
-// destination, given u's incident arcs. Ties break toward the smallest
-// neighbor index so rows are deterministic per estimate.
-func nextHopInto(row []int, arcs []wArc, distances *DistanceMatrix, u int) {
-	for v := range row {
-		if u == v {
-			row[v] = u
-			continue
-		}
-		best, bestCost := -1, int64(0)
-		for _, a := range arcs {
-			d := distances.At(a.to, v)
-			// Saturating addition, mirroring minplus.SatAdd: a candidate whose
-			// cost lands at or above Inf is just as unreachable as one with an
-			// infinite estimate and must not be selected as a next hop. With
-			// both operands below Inf the sum stays below MaxInt64/2, so the
-			// plain addition cannot overflow.
-			if d >= Inf || a.w >= Inf {
-				continue
-			}
-			cost := a.w + d
-			if cost >= Inf {
-				continue
-			}
-			if best == -1 || cost < bestCost || (cost == bestCost && a.to < best) {
-				best, bestCost = a.to, cost
-			}
-		}
-		row[v] = best
-	}
 }
 
 // LoopFreeNextHopTables derives next-hop tables that greedy forwarding can
@@ -202,7 +166,8 @@ type GreedyRouter struct {
 }
 
 // NewGreedyRouter builds a router for g (one O(m) pass over the edges)
-// resolving hops through rows.
+// resolving hops through rows. rows may be nil for a router that is only
+// walked through RouteVia.
 func NewGreedyRouter(g *Graph, rows func(src int) []int) *GreedyRouter {
 	n := g.N()
 	weights := make([]map[int]int64, n)
@@ -220,16 +185,15 @@ func NewGreedyRouter(g *Graph, rows func(src int) []int) *GreedyRouter {
 // loops (guarded by a TTL of 4n hops) return ErrNoRoute; a row naming a
 // non-neighbor as next hop is a corrupt-table error.
 func (r *GreedyRouter) Route(u, v int) ([]int, int64, error) {
-	return r.RouteVia(u, v, r.rows)
+	return r.RouteVia(u, v, func(src int) ([]int, error) { return r.rows(src), nil })
 }
 
 // RouteVia forwards one packet like Route, but resolves next-hop rows
-// through the given callback instead of the router's own. It exists for row
-// providers whose lookups can fail per call (a disk-backed snapshot, say):
-// the caller wraps its fallible provider in a closure that records the error
-// and returns a dead row, shares the router's O(m) weight tables across
-// calls, and keeps each call's error slot private.
-func (r *GreedyRouter) RouteVia(u, v int, rows func(src int) []int) ([]int, int64, error) {
+// through the given callback instead of the router's own, sharing the
+// router's O(m) weight tables across calls. The callback may fail (a
+// disk-backed row source, say): its error ends the walk and is returned
+// unchanged, so a failed row read is never mistaken for ErrNoRoute.
+func (r *GreedyRouter) RouteVia(u, v int, rows func(src int) ([]int, error)) ([]int, int64, error) {
 	if u < 0 || u >= r.n || v < 0 || v >= r.n {
 		return nil, 0, fmt.Errorf("cliqueapsp: route (%d,%d) out of range for n=%d", u, v, r.n)
 	}
@@ -239,7 +203,11 @@ func (r *GreedyRouter) RouteVia(u, v int, rows func(src int) []int) ([]int, int6
 		if len(path) > 4*r.n {
 			return nil, 0, fmt.Errorf("%w: loop routing %d to %d", ErrNoRoute, u, v)
 		}
-		nh := rows(cur)[v]
+		row, err := rows(cur)
+		if err != nil {
+			return nil, 0, err
+		}
+		nh := row[v]
 		if nh < 0 || nh == cur {
 			return nil, 0, fmt.Errorf("%w: dead end at %d routing %d to %d", ErrNoRoute, cur, u, v)
 		}
@@ -340,7 +308,7 @@ func adjacency(g *Graph) [][]wArc {
 // memoized against a pre-repair snapshot is still byte-identical after an
 // edge-delta repair of the distance matrix. A source's next-hop row depends
 // only on its own adjacency and its neighbours' distance rows (see
-// nextHopInto), so the row survives exactly when the source is not an
+// NextHopRowFrom), so the row survives exactly when the source is not an
 // endpoint of any changed edge (touched) and no out-neighbour's distance
 // row changed (changedRow). g is the post-delta graph; for an untouched
 // source its adjacency there equals the pre-delta one.

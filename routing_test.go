@@ -1,6 +1,7 @@
 package cliqueapsp
 
 import (
+	"context"
 	"testing"
 )
 
@@ -24,7 +25,7 @@ func TestNextHopTablesExactDistancesRouteOptimally(t *testing.T) {
 
 func TestNextHopTablesApproximateDistances(t *testing.T) {
 	g := RandomGraph(64, 40, 13)
-	res, err := Run(g, Options{Algorithm: AlgConstant, Seed: 2})
+	res, err := New().Run(context.Background(), g, WithAlgorithm(AlgConstant), WithSeed(2))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,21 +87,121 @@ func TestNextHopTablesDisconnected(t *testing.T) {
 	}
 }
 
-func TestNextHopRowMatchesTables(t *testing.T) {
-	g := RandomGraph(40, 25, 17)
-	dist := Exact(g)
-	table, err := NextHopTables(g, dist)
-	if err != nil {
-		t.Fatal(err)
+// nextHopReference is an independent brute-force next-hop row: for each
+// destination v ≠ src, the argmin of (w(src,x) + δ(x,v), x) over src's
+// neighbors x, where a candidate whose cost reaches Inf does not count. It
+// shares nothing with the library's selection loop — neighbors come from
+// Graph.Weight (the lightest parallel edge), candidates are scanned in index
+// order so a strict < keeps the smallest index on ties — so the core is
+// checked against something other than itself.
+func nextHopReference(g *Graph, dist *DistanceMatrix, src int) []int {
+	n := g.N()
+	row := make([]int, n)
+	for v := range row {
+		row[v] = -1
+		if v == src {
+			row[v] = src
+			continue
+		}
+		var bestCost int64
+		for x := 0; x < n; x++ {
+			w, ok := g.Weight(src, x)
+			if !ok || w >= Inf || dist.At(x, v) >= Inf {
+				continue
+			}
+			if cost := w + dist.At(x, v); cost < Inf && (row[v] == -1 || cost < bestCost) {
+				row[v], bestCost = x, cost
+			}
+		}
 	}
-	for u := 0; u < g.N(); u++ {
-		row, err := NextHopRow(g, dist, u)
+	return row
+}
+
+// TestNextHopRowMatchesTables checks NextHopRow and NextHopTables against
+// the brute-force reference on exact and constant estimates, zero-weight
+// ties, near-Inf weights and estimates, and disconnected graphs.
+func TestNextHopRowMatchesTables(t *testing.T) {
+	constant := func(g *Graph) *DistanceMatrix {
+		res, err := New().Run(context.Background(), g, WithAlgorithm(AlgConstant), WithSeed(2))
 		if err != nil {
 			t.Fatal(err)
 		}
-		for v := range row {
-			if row[v] != table[u][v] {
-				t.Fatalf("row %d disagrees with table at %d: %d vs %d", u, v, row[v], table[u][v])
+		return res.Distances
+	}
+	fromSlices := func(rows [][]int64) *DistanceMatrix {
+		d, err := DistancesFromSlices(rows)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return d
+	}
+	random := RandomGraph(64, 40, 13)
+	zero, err := Generate("zeroclusters", 48, 0, 9, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// 0—1 (weight 0), 1—2 (weight 1): the costs 1→2 via 0 and via 2 tie.
+	tie := NewGraph(3)
+	mustAdd(t, tie, 0, 1, 0)
+	mustAdd(t, tie, 1, 2, 1)
+	// Weights at and just below Inf: a hop over w = Inf is never elected,
+	// w = Inf-1 only toward the neighbor itself.
+	heavy := NewGraph(4)
+	mustAdd(t, heavy, 0, 1, Inf-1)
+	mustAdd(t, heavy, 1, 2, 1)
+	mustAdd(t, heavy, 0, 3, Inf)
+	mustAdd(t, heavy, 3, 2, 0)
+	// 0 -10- 1 -1- 2 with near-Inf estimates: w + d saturates through 1.
+	nearInf := NewGraph(3)
+	mustAdd(t, nearInf, 0, 1, 10)
+	mustAdd(t, nearInf, 1, 2, 1)
+	// Two random components and isolated nodes 12–14 and 27–29.
+	split := NewGraph(30)
+	for _, off := range []int{0, 15} {
+		for _, e := range RandomGraph(12, 20, int64(off+1)).Edges() {
+			mustAdd(t, split, e.U+off, e.V+off, e.W)
+		}
+	}
+
+	cases := []struct {
+		name string
+		g    *Graph
+		dist *DistanceMatrix
+	}{
+		{"exact", RandomGraph(40, 25, 17), nil},
+		{"constant", random, constant(random)},
+		{"zero-weight exact", zero, nil},
+		{"zero-weight constant", zero, constant(zero)},
+		{"zero-weight tie", tie, nil},
+		{"near-Inf weights", heavy, nil},
+		{"near-Inf estimate", nearInf, fromSlices([][]int64{
+			{0, 10, Inf - 5},
+			{10, 0, Inf - 5},
+			{Inf - 5, Inf - 5, 0},
+		})},
+		{"disconnected exact", split, nil},
+		{"disconnected constant", split, constant(split)},
+	}
+	for _, tc := range cases {
+		dist := tc.dist
+		if dist == nil {
+			dist = Exact(tc.g)
+		}
+		table, err := NextHopTables(tc.g, dist)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		for u := 0; u < tc.g.N(); u++ {
+			want := nextHopReference(tc.g, dist, u)
+			row, err := NextHopRow(tc.g, dist, u)
+			if err != nil {
+				t.Fatalf("%s: %v", tc.name, err)
+			}
+			for v := range want {
+				if row[v] != want[v] || table[u][v] != want[v] {
+					t.Fatalf("%s: next hop (%d,%d): row %d, table %d, reference %d",
+						tc.name, u, v, row[v], table[u][v], want[v])
+				}
 			}
 		}
 	}
