@@ -7,8 +7,9 @@ import (
 	"github.com/congestedclique/cliqueapsp/internal/experiments"
 )
 
-// The benchmarks wrap the experiment harness: one benchmark per table and
-// figure of EXPERIMENTS.md (regenerate the full sweeps with cmd/ccbench).
+// The benchmarks wrap the experiment harness: one benchmark per experiment
+// table and figure (`ccbench -list` prints the index; regenerate the full
+// sweeps with cmd/ccbench).
 // Reported ns/op is the cost of one full experiment at the bench sizes.
 
 func benchSuite() experiments.Suite {

@@ -1,6 +1,6 @@
-// Command ccbench regenerates the experiment tables of EXPERIMENTS.md: one
-// experiment per theorem/lemma guarantee of the paper (t1..t9 for the
-// tables, f1/f2 for the figures — see DESIGN.md §4 for the index).
+// Command ccbench regenerates the experiment tables: one experiment per
+// theorem/lemma guarantee of the paper (t1..t9 for the tables, f1/f2 for
+// the figures; `ccbench -list` prints the index).
 //
 // Examples:
 //

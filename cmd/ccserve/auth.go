@@ -232,37 +232,12 @@ func cutPrefixFold(s, prefix string) (string, bool) {
 	return s[len(prefix):], true
 }
 
-// tenantRoute maps a request to the tenant a non-admin key must be scoped
-// to, or reports false for admin-only surfaces (tenant create/delete,
-// listings, global stats, and any path outside the serving API).
-func tenantRoute(r *http.Request) (string, bool) {
-	switch r.URL.Path {
-	case "/v1/dist", "/v1/batch", "/v1/path", "/v1/graph":
-		// The legacy single-graph routes are views of the default tenant.
-		return defaultTenant, true
-	}
-	rest, ok := strings.CutPrefix(r.URL.Path, "/v1/graphs/")
-	if !ok || rest == "" {
-		return "", false
-	}
-	if r.Method == http.MethodDelete {
-		return "", false // deleting tenants is the admin's call
-	}
-	name, op, _ := strings.Cut(rest, "/")
-	if op == "promote" {
-		// Promotion claims fleet memory back from other tenants — an
-		// operator policy decision, not something a tenant key may trigger.
-		return "", false
-	}
-	return name, true
-}
-
-// authorize gates one request. With no keyring (no -keys file) everything
-// is open — today's behavior. /healthz stays open regardless: liveness
-// probes don't carry credentials, and an unauthenticated caller learns only
-// that the process is up.
-func (s *server) authorize(w http.ResponseWriter, r *http.Request) bool {
-	if s.auth == nil || r.URL.Path == "/healthz" {
+// authorize gates one request by the access its route row declares. With
+// no keyring (no -keys file) everything is open. Open rows (/healthz) stay
+// open regardless: liveness probes don't carry credentials, and an
+// unauthenticated caller learns only that the process is up.
+func (s *server) authorize(w http.ResponseWriter, r *http.Request, m match) bool {
+	if s.auth == nil || m.access == accessOpen {
 		return true
 	}
 	key, ok := bearerToken(r)
@@ -278,15 +253,14 @@ func (s *server) authorize(w http.ResponseWriter, r *http.Request) bool {
 	if id.admin {
 		return true
 	}
-	tenant, scoped := tenantRoute(r)
-	if !scoped {
+	if m.access != accessTenant {
 		s.writeJSON(w, http.StatusForbidden,
 			errorBody{Error: fmt.Sprintf("%s %s requires the admin key", r.Method, r.URL.Path)})
 		return false
 	}
-	if tenant != id.tenant {
+	if m.tenant != id.tenant {
 		s.writeJSON(w, http.StatusForbidden,
-			errorBody{Error: fmt.Sprintf("key is scoped to tenant %q, not %q", id.tenant, tenant)})
+			errorBody{Error: fmt.Sprintf("key is scoped to tenant %q, not %q", id.tenant, m.tenant)})
 		return false
 	}
 	return true

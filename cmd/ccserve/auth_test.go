@@ -164,6 +164,12 @@ func TestTenantRouteScoping(t *testing.T) {
 		{http.MethodDelete, "/v1/graphs/alpha", "", false},
 		{http.MethodGet, "/v1/stats", "", false},
 		{http.MethodGet, "/v1/unknown", "", false},
+		{http.MethodPatch, "/v1/graphs/alpha/edges", "alpha", true},
+		{http.MethodPost, "/v1/graphs/alpha/promote", "", false},
+		{http.MethodGet, "/metrics", "", false},
+		{http.MethodGet, "/v1/traces", "", false},
+		{http.MethodGet, "/debug/pprof/", "", false},
+		{http.MethodGet, "/healthz", "", false},
 	} {
 		tenant, scoped := tenantRoute(mk(tc.method, tc.path))
 		if tenant != tc.tenant || scoped != tc.scoped {

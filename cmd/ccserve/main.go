@@ -6,7 +6,9 @@
 // and every response reports the snapshot version that answered it.
 //
 // The single-graph routes of earlier versions keep working unchanged — they
-// are served by a pinned "default" tenant that exists from startup.
+// are aliases of the /v1/graphs/{name}/* routes, bound to a pinned
+// "default" tenant that exists from startup. Every route is one row of the
+// route table in routes.go.
 //
 // Endpoints:
 //
@@ -75,8 +77,10 @@
 // With -keys the server authenticates every route except /healthz via
 // "Authorization: Bearer <key>": the file's admin key may do everything
 // (and alone may create/delete tenants), a per-tenant key only its own
-// /v1/graphs/{name}/* routes (a "default" key also grants the legacy /v1/*
-// routes). The file may also declare per-tenant quotas (requests/sec and
+// tenant's GET /v1/graphs/{name} and /v1/graphs/{name}/dist|batch|path|
+// graph|edges|stats routes (promote and DELETE are admin-only; a "default"
+// key also grants the legacy /v1/dist|batch|path|graph routes). The file
+// may also declare per-tenant quotas (requests/sec and
 // answers/sec token buckets) enforced with 429 + Retry-After; SIGHUP
 // reloads the file without a restart. Without -keys the server stays as
 // open as earlier versions. Throttle counts appear in /v1/stats under

@@ -8,7 +8,6 @@ import (
 	"os"
 	"runtime"
 	"runtime/debug"
-	"strings"
 	"time"
 
 	"github.com/congestedclique/cliqueapsp/internal/sched"
@@ -79,7 +78,7 @@ func (s *server) registerCollectors(reg *obs.Registry) {
 		"stat")
 	reg.OnScrape(func() {
 		st := s.mgr.Stats()
-		for stat, v := range map[string]float64{
+		setStats(mgr, map[string]float64{
 			"graphs":           float64(st.Graphs),
 			"max_graphs":       float64(st.MaxGraphs),
 			"total_nodes":      float64(st.TotalNodes),
@@ -99,9 +98,7 @@ func (s *server) registerCollectors(reg *obs.Registry) {
 			"full_decodes":     float64(st.FullDecodes),
 			"cold_tenants":     float64(st.ColdTenants),
 			"cold_serves":      float64(st.ColdServes),
-		} {
-			mgr.With(stat).Set(v)
-		}
+		})
 		var resident, capacity int
 		for _, ts := range st.Tenants {
 			if rc := ts.Oracle.RowCache; rc != nil {
@@ -109,34 +106,28 @@ func (s *server) registerCollectors(reg *obs.Registry) {
 				capacity += rc.Capacity
 			}
 		}
-		for stat, v := range map[string]float64{
+		setStats(rowCache, map[string]float64{
 			"hits":          float64(st.RowCacheHits),
 			"misses":        float64(st.RowCacheMisses),
 			"evictions":     float64(st.RowCacheEvictions),
 			"resident_rows": float64(resident),
 			"capacity_rows": float64(capacity),
-		} {
-			rowCache.With(stat).Set(v)
-		}
+		})
 		pst := sched.Shared().Stats()
-		for stat, v := range map[string]float64{
+		setStats(pool, map[string]float64{
 			"workers":         float64(pst.Workers),
 			"in_flight":       float64(pst.InFlight),
 			"tasks_completed": float64(pst.Completed),
-		} {
-			pool.With(stat).Set(v)
-		}
-		for stat, v := range map[string]float64{
+		})
+		setStats(builds, map[string]float64{
 			"concurrency":        float64(st.BuildConcurrency),
 			"running":            float64(st.BuildsRunning),
 			"queued":             float64(st.BuildsQueued),
 			"admitted":           float64(st.BuildsAdmitted),
 			"wait_seconds_total": float64(st.BuildWaitNS) / 1e9,
-		} {
-			builds.With(stat).Set(v)
-		}
+		})
 		ps := readProcessStats(s.start)
-		for stat, v := range map[string]float64{
+		setStats(proc, map[string]float64{
 			"uptime_seconds":         ps.UptimeSeconds,
 			"goroutines":             float64(ps.Goroutines),
 			"gomaxprocs":             float64(ps.GOMAXPROCS),
@@ -146,10 +137,15 @@ func (s *server) registerCollectors(reg *obs.Registry) {
 			"http_requests":          float64(s.reqs.Load()),
 			"http_errors":            float64(s.errs.Load()),
 			"graph_uploads":          float64(s.graphs.Load()),
-		} {
-			proc.With(stat).Set(v)
-		}
+		})
 	})
+}
+
+// setStats sets the series of g labelled by each stat.
+func setStats(g *obs.GaugeVec, stats map[string]float64) {
+	for stat, v := range stats {
+		g.With(stat).Set(v)
+	}
 }
 
 // processStats is the `process` section of /v1/stats: the runtime-level
@@ -213,34 +209,6 @@ func buildInfo() (version, revision string) {
 		}
 	}
 	return version, revision
-}
-
-// routeTemplate collapses a request path onto its route template so metric
-// label cardinality stays bounded by the route table, not by tenant names
-// or probe garbage.
-func routeTemplate(path string) string {
-	switch path {
-	case "/v1/dist", "/v1/batch", "/v1/path", "/v1/graph",
-		"/v1/stats", "/v1/graphs", "/v1/traces", "/healthz", "/metrics":
-		return path
-	}
-	if strings.HasPrefix(path, "/debug/pprof/") {
-		return "/debug/pprof/"
-	}
-	if rest, ok := strings.CutPrefix(path, "/v1/traces/"); ok && rest != "" {
-		return "/v1/traces/{id}"
-	}
-	if rest, ok := strings.CutPrefix(path, "/v1/graphs/"); ok && rest != "" {
-		_, op, hasOp := strings.Cut(rest, "/")
-		if !hasOp || op == "" {
-			return "/v1/graphs/{name}"
-		}
-		switch op {
-		case "dist", "batch", "path", "graph", "edges", "promote", "stats":
-			return "/v1/graphs/{name}/" + op
-		}
-	}
-	return "other"
 }
 
 // requestOutcome classifies a response for the per-tenant counter.

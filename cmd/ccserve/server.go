@@ -8,8 +8,8 @@ import (
 	"log/slog"
 	"math"
 	"net/http"
-	"net/http/pprof"
 	"runtime"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -70,15 +70,15 @@ const defaultTraceBuf = 256
 // expvar-style request counters surfaced by /v1/stats alongside the
 // manager's and every tenant's own, plus the obs registry behind /metrics.
 type server struct {
-	mgr   *oracle.Manager
-	def   *oracle.Tenant // the pinned default tenant
-	auth  *keyring       // nil without -keys: every route open
-	lim   limits
-	mux   *http.ServeMux
-	start time.Time
-	log   *slog.Logger
-	slow  time.Duration  // -slowquery threshold (0 = off)
-	met   *serverMetrics // request/build instruments behind /metrics
+	mgr    *oracle.Manager
+	def    *oracle.Tenant // the pinned default tenant
+	auth   *keyring       // nil without -keys: every route open
+	lim    limits
+	start  time.Time
+	log    *slog.Logger
+	slow   time.Duration  // -slowquery threshold (0 = off)
+	met    *serverMetrics // request/build instruments behind /metrics
+	scrape http.Handler   // the /metrics exposition
 
 	tracer *trace.Tracer // samples requests; builds are always traced
 	traces *trace.Store  // bounded ring of completed traces (/v1/traces)
@@ -98,14 +98,14 @@ func newServer(cfg serverConfig) (*server, error) {
 	}
 	reg := obs.NewRegistry()
 	s := &server{
-		auth:  cfg.keys,
-		lim:   cfg.lim,
-		mux:   http.NewServeMux(),
-		start: time.Now(),
-		log:   logger,
-		slow:  cfg.slowQuery,
-		met:   newServerMetrics(reg),
-		tlim:  make(map[string]int),
+		auth:   cfg.keys,
+		lim:    cfg.lim,
+		start:  time.Now(),
+		log:    logger,
+		slow:   cfg.slowQuery,
+		met:    newServerMetrics(reg),
+		scrape: reg.Handler(),
+		tlim:   make(map[string]int),
 	}
 	// The tracer exists even at -tracesample 0: forced captures (slow and
 	// 5xx requests) and build traces still need somewhere to land.
@@ -149,25 +149,9 @@ func newServer(cfg serverConfig) (*server, error) {
 			}
 			logger.Info("tenant evicted", "tenant", name, "reason", "lru")
 		},
-		OnRebuild: func(name string, version uint64, elapsed time.Duration, err error) {
-			if err != nil {
-				s.met.rebuilds.With("error").Inc()
-				logger.Error("tenant rebuild failed", "tenant", name, "version", version, "dur", elapsed, "err", err)
-				return
-			}
-			s.met.rebuilds.With("ok").Inc()
-			logger.Info("tenant rebuild done", "tenant", name, "version", version, "dur", elapsed)
-		},
-		OnRepair: func(name string, version uint64, elapsed time.Duration, err error) {
-			if err != nil {
-				s.met.repairs.With("error").Inc()
-				logger.Error("tenant repair failed", "tenant", name, "version", version, "dur", elapsed, "err", err)
-				return
-			}
-			s.met.repairs.With("ok").Inc()
-			logger.Info("tenant repair done", "tenant", name, "version", version, "dur", elapsed)
-		},
-		OnPhase: s.met.observePhases,
+		OnRebuild: published(s.met.rebuilds, logger, "rebuild"),
+		OnRepair:  published(s.met.repairs, logger, "repair"),
+		OnPhase:   s.met.observePhases,
 	}
 	if cfg.snapshots != nil {
 		mcfg.Store = cfg.snapshots
@@ -216,36 +200,28 @@ func newServer(cfg serverConfig) (*server, error) {
 	// With the fleet restored, the key file's quotas land on every hosted
 	// tenant before the first request is served.
 	s.applyFileQuotas()
-
-	// Single-graph routes: the pre-manager API, served by the default tenant.
-	s.mux.HandleFunc("/v1/dist", s.handleDist)
-	s.mux.HandleFunc("/v1/batch", s.handleBatch)
-	s.mux.HandleFunc("/v1/path", s.handlePath)
-	s.mux.HandleFunc("/v1/graph", s.handleGraph)
-	s.mux.HandleFunc("/v1/stats", s.handleStats)
-	s.mux.HandleFunc("/healthz", s.handleHealthz)
-	// Multi-tenant routes.
-	s.mux.HandleFunc("/v1/graphs", s.handleGraphs)
-	s.mux.HandleFunc("/v1/graphs/", s.handleTenant)
-	// Observability surfaces. None of these paths are tenant-scoped in
-	// tenantRoute, so with -keys set they are all admin-only automatically;
-	// without -keys the server is as open as every other route.
-	s.mux.HandleFunc("/v1/traces", s.handleTraces)
-	s.mux.HandleFunc("/v1/traces/", s.handleTraceByID)
-	s.mux.Handle("/metrics", reg.Handler())
-	s.mux.HandleFunc("/debug/pprof/", pprof.Index)
-	s.mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
-	s.mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
-	s.mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
-	s.mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
 	s.registerCollectors(reg)
 	return s, nil
 }
 
-// ServeHTTP is the middleware shell around every route: request ID and
-// trace context in, one counter/histogram update and one structured
-// completion line out. Auth runs inside the shell so 401/403 land in the
-// route metrics too.
+// published counts and logs each publish of one kind (rebuild, repair)
+// across all tenants.
+func published(count *obs.CounterVec, log *slog.Logger, kind string) func(string, uint64, time.Duration, error) {
+	return func(name string, version uint64, elapsed time.Duration, err error) {
+		if err != nil {
+			count.With("error").Inc()
+			log.Error("tenant "+kind+" failed", "tenant", name, "version", version, "dur", elapsed, "err", err)
+			return
+		}
+		count.With("ok").Inc()
+		log.Info("tenant "+kind+" done", "tenant", name, "version", version, "dur", elapsed)
+	}
+}
+
+// ServeHTTP is the middleware shell around every route: the path parsed
+// once against the route table, request ID and trace context in, one
+// counter/histogram update and one structured completion line out. Auth
+// runs inside the shell so 401/403 land in the route metrics too.
 //
 // Tracing decision, in order: an incoming traceparent with the sampled
 // flag, else head sampling at -tracesample. A sampled request gets a
@@ -257,7 +233,7 @@ func newServer(cfg serverConfig) (*server, error) {
 // completion so the incident is still retrievable from /v1/traces.
 func (s *server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	start := time.Now()
-	route := routeTemplate(r.URL.Path)
+	m := parseRoute(r.Method, r.URL.Path)
 	id := requestID(r)
 	ctx := withRequestID(r.Context(), id)
 	sc, _ := trace.ParseTraceparent(r.Header.Get("traceparent"))
@@ -270,7 +246,7 @@ func (s *server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 			// correlation token finds the trace; mint otherwise.
 			tid, _ = trace.ParseTraceID(id)
 		}
-		span = s.tracer.StartRoot(r.Method+" "+route, tid, sc.SpanID)
+		span = s.tracer.StartRoot(r.Method+" "+m.label, tid, sc.SpanID)
 		ctx = trace.ContextWith(ctx, span)
 		w.Header().Set("traceparent", trace.FormatTraceparent(span.TraceID(), span.ID(), true))
 	}
@@ -278,17 +254,17 @@ func (s *server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("X-Request-Id", id)
 	sw := &statusWriter{ResponseWriter: w}
 	s.reqs.Add(1)
-	if s.authorize(sw, r) {
-		s.mux.ServeHTTP(sw, r)
+	if s.authorize(sw, r, m) {
+		s.dispatch(sw, r, m)
 	}
 	if sw.status == 0 {
 		sw.status = http.StatusOK // handler never wrote; net/http sends 200
 	}
 	dur := time.Since(start)
 	status := strconv.Itoa(sw.status)
-	s.met.requests.With(route, r.Method, status).Inc()
-	s.met.latency.With(route, status).Observe(dur.Seconds())
-	tenant, scoped := tenantRoute(r)
+	s.met.requests.With(m.label, r.Method, status).Inc()
+	s.met.latency.With(m.label, status).Observe(dur.Seconds())
+	tenant, scoped := m.tenant, m.access == accessTenant
 	if scoped {
 		if outcome := requestOutcome(sw.status); outcome != "" {
 			s.met.tenantReq.With(tenant, outcome).Inc()
@@ -314,7 +290,7 @@ func (s *server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 			attrs = append(attrs, trace.String("tenant", tenant))
 		}
 		tid, _ := trace.ParseTraceID(id)
-		if tid = s.tracer.CaptureRoot(tid, r.Method+" "+route, start, dur, sw.status, attrs...); !tid.IsZero() {
+		if tid = s.tracer.CaptureRoot(tid, r.Method+" "+m.label, start, dur, sw.status, attrs...); !tid.IsZero() {
 			traceID = tid.String()
 		}
 	}
@@ -323,11 +299,10 @@ func (s *server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	switch {
 	case slow:
 		level, msg = slog.LevelWarn, "slow request"
-	case route == "/healthz" || route == "/metrics":
-		// Probe and scrape traffic: one line per poll would drown the log.
+	case m.row != nil && m.row.quiet:
 		level = slog.LevelDebug
 	}
-	args := []any{"route", route, "method", r.Method, "status", sw.status,
+	args := []any{"route", m.label, "method", r.Method, "status", sw.status,
 		"bytes", sw.bytes, "dur", dur, "id", id}
 	if traceID != "" {
 		args = append(args, "trace", traceID)
@@ -341,10 +316,16 @@ func (s *server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 // Close drains every tenant's build loop.
 func (s *server) Close() { s.mgr.Close() }
 
+// writeJSON answers with v, counting statuses ≥ 400 as errors.
 func (s *server) writeJSON(w http.ResponseWriter, status int, v any) {
 	if status >= 400 {
 		s.errs.Add(1)
 	}
+	sendJSON(w, status, v)
+}
+
+// sendJSON answers with v outside the error counter.
+func sendJSON(w http.ResponseWriter, status int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
 	enc := json.NewEncoder(w)
@@ -374,11 +355,7 @@ func (s *server) clientGone(w http.ResponseWriter, r *http.Request, err error) {
 	if id != "" {
 		w.Header().Set("X-Request-Id", id)
 	}
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(statusClientClosedRequest)
-	enc := json.NewEncoder(w)
-	enc.SetEscapeHTML(false)
-	_ = enc.Encode(errorBody{Error: err.Error()})
+	sendJSON(w, statusClientClosedRequest, errorBody{Error: err.Error()})
 	s.log.Log(r.Context(), slog.LevelInfo, "client gone",
 		"status", statusClientClosedRequest, "method", r.Method, "path", r.URL.Path,
 		"id", id, "trace", traceIDFrom(r.Context()), "err", err)
@@ -399,15 +376,12 @@ func (s *server) fail(w http.ResponseWriter, r *http.Request, status int, err er
 		status = http.StatusServiceUnavailable
 	case errors.Is(err, oracle.ErrTenantNotFound):
 		status = http.StatusNotFound
-	case errors.Is(err, oracle.ErrTenantExists):
-		status = http.StatusConflict
-	case errors.Is(err, oracle.ErrNoGraph):
-		// A delta with nothing to patch: the tenant exists but has no base
-		// graph — a conflict with the resource's state, not a bad request.
-		status = http.StatusConflict
-	case errors.Is(err, oracle.ErrSuperseded):
-		// The serving snapshot moved while the operation (promote, restore)
-		// was preparing; the mover's state won.
+	case errors.Is(err, oracle.ErrTenantExists), errors.Is(err, oracle.ErrNoGraph),
+		errors.Is(err, oracle.ErrSuperseded):
+		// ErrNoGraph is a delta with nothing to patch: the tenant exists but
+		// has no base graph — a conflict with the resource's state, not a
+		// bad request. ErrSuperseded: the serving snapshot moved while the
+		// operation (promote, restore) was preparing; the mover's state won.
 		status = http.StatusConflict
 	case errors.As(err, &quota):
 		status = http.StatusTooManyRequests
@@ -438,23 +412,7 @@ func (s *server) fail(w http.ResponseWriter, r *http.Request, status int, err er
 // rounded up, and at least 1 so a client honoring the header never retries
 // in a busy-loop.
 func retryAfterSeconds(d time.Duration) int {
-	secs := int(math.Ceil(d.Seconds()))
-	if secs < 1 {
-		secs = 1
-	}
-	return secs
-}
-
-func (s *server) requireMethod(w http.ResponseWriter, r *http.Request, methods ...string) bool {
-	for _, method := range methods {
-		if r.Method == method {
-			return true
-		}
-	}
-	allow := strings.Join(methods, ", ")
-	w.Header().Set("Allow", allow)
-	s.writeJSON(w, http.StatusMethodNotAllowed, errorBody{Error: fmt.Sprintf("use %s %s", allow, r.URL.Path)})
-	return false
+	return max(1, int(math.Ceil(d.Seconds())))
 }
 
 // queryPair parses the u/v query parameters.
@@ -500,7 +458,7 @@ func expectEOF(dec *json.Decoder) error {
 	}
 }
 
-// ---- per-tenant core handlers (shared by /v1/* and /v1/graphs/{name}/*) ----
+// ---- per-tenant handlers (the legacy /v1/* routes alias some of them) ----
 
 // GET …/dist?u=0&v=3
 func (s *server) dist(w http.ResponseWriter, r *http.Request, t *oracle.Tenant) {
@@ -681,10 +639,7 @@ func (s *server) readGraph(w http.ResponseWriter, r *http.Request, maxNodes int)
 				s.fail(w, r, http.StatusBadRequest, fmt.Errorf("edge %d: %w", i, err))
 				return nil, false
 			}
-			k := [2]int{e.U, e.V}
-			if k[0] > k[1] {
-				k[0], k[1] = k[1], k[0]
-			}
+			k := [2]int{min(e.U, e.V), max(e.U, e.V)}
 			if j, dup := seen[k]; dup {
 				s.fail(w, r, http.StatusBadRequest,
 					fmt.Errorf("edge %d: duplicate of edge %d ({%d,%d})", i, j, k[0], k[1]))
@@ -745,26 +700,9 @@ func (s *server) uploadGraph(w http.ResponseWriter, r *http.Request, t *oracle.T
 	s.log.Info("graph accepted", "tenant", t.Name(), "n", g.N(), "m", g.NumEdges(),
 		"version", version, "id", requestIDFrom(r.Context()))
 
-	status := http.StatusAccepted
-	if r.URL.Query().Get("wait") != "" {
-		if err := t.Wait(r.Context(), version); err != nil {
-			// Classify by the REQUEST's context, not the error value: a
-			// -buildtimeout abort surfaces as context.DeadlineExceeded too,
-			// and that one is a genuine build failure the client must see
-			// as a 5xx, not be told its own patience ran out.
-			if r.Context().Err() != nil {
-				// The CLIENT gave up waiting, not the server failing: the
-				// build still completes (and persists) in the background.
-				// Report it nginx-style as 499 client-closed-request, outside
-				// the server error counter — a 500 here would both lie to
-				// monitoring and inflate http_errors with client impatience.
-				s.clientGone(w, r, fmt.Errorf("client stopped waiting for rebuild v%d: %w (the build continues)", version, err))
-				return
-			}
-			s.fail(w, r, http.StatusInternalServerError, fmt.Errorf("rebuild v%d: %w", version, err))
-			return
-		}
-		status = http.StatusOK
+	status := s.awaitVersion(w, r, t, version, "rebuild ", "rebuild", "build")
+	if status == 0 {
+		return
 	}
 	s.writeJSON(w, status, struct {
 		Version uint64 `json:"version"`
@@ -807,25 +745,43 @@ func (s *server) patchEdges(w http.ResponseWriter, r *http.Request, t *oracle.Te
 	s.log.Info("delta accepted", "tenant", t.Name(), "edges", len(req.Edges),
 		"version", version, "id", requestIDFrom(r.Context()))
 
-	status := http.StatusAccepted
-	if r.URL.Query().Get("wait") != "" {
-		if err := t.Wait(r.Context(), version); err != nil {
-			if r.Context().Err() != nil {
-				// See uploadGraph: client impatience is a 499, not a 500 —
-				// the publish still completes in the background.
-				s.clientGone(w, r, fmt.Errorf("client stopped waiting for v%d: %w (the publish continues)", version, err))
-				return
-			}
-			s.fail(w, r, http.StatusInternalServerError, fmt.Errorf("publish v%d: %w", version, err))
-			return
-		}
-		status = http.StatusOK
+	status := s.awaitVersion(w, r, t, version, "", "publish", "publish")
+	if status == 0 {
+		return
 	}
 	s.writeJSON(w, status, struct {
 		Version uint64 `json:"version"`
 		Edges   int    `json:"edges"`
 		Ready   bool   `json:"ready"`
 	}{Version: version, Edges: len(req.Edges), Ready: status == http.StatusOK})
+}
+
+// awaitVersion is a write's response status: 202 without ?wait=1, else 200
+// once version serves (bounded by the request context). When the wait
+// fails it has answered the request and returns 0; gone, failed and
+// continues name the write in those answers.
+func (s *server) awaitVersion(w http.ResponseWriter, r *http.Request, t *oracle.Tenant, version uint64, gone, failed, continues string) int {
+	if r.URL.Query().Get("wait") == "" {
+		return http.StatusAccepted
+	}
+	err := t.Wait(r.Context(), version)
+	switch {
+	case err == nil:
+		return http.StatusOK
+	case r.Context().Err() != nil:
+		// Classified by the REQUEST's context, not the error value: a
+		// -buildtimeout abort surfaces as context.DeadlineExceeded too, and
+		// that one is a genuine build failure the client must see as a 5xx.
+		// Here the CLIENT gave up waiting, not the server failing: the write
+		// still publishes (and persists) in the background. It is reported
+		// nginx-style as 499 client-closed-request, outside the server error
+		// counter — a 500 would both lie to monitoring and inflate
+		// http_errors with client impatience.
+		s.clientGone(w, r, fmt.Errorf("client stopped waiting for %sv%d: %w (the %s continues)", gone, version, err, continues))
+	default:
+		s.fail(w, r, http.StatusInternalServerError, fmt.Errorf("%s v%d: %w", failed, version, err))
+	}
+	return 0
 }
 
 // POST /v1/graphs/{name}/promote decodes the newest persisted snapshot of a
@@ -847,39 +803,12 @@ func (s *server) promoteTenant(w http.ResponseWriter, r *http.Request, t *oracle
 	s.writeJSON(w, http.StatusOK, summarize(ts))
 }
 
-// ---- single-graph routes (default tenant, pre-manager behavior) ----
-
-func (s *server) handleDist(w http.ResponseWriter, r *http.Request) {
-	if s.requireMethod(w, r, http.MethodGet) {
-		s.dist(w, r, s.def)
-	}
-}
-
-func (s *server) handleBatch(w http.ResponseWriter, r *http.Request) {
-	if s.requireMethod(w, r, http.MethodPost) {
-		s.batch(w, r, s.def)
-	}
-}
-
-func (s *server) handlePath(w http.ResponseWriter, r *http.Request) {
-	if s.requireMethod(w, r, http.MethodGet) {
-		s.path(w, r, s.def)
-	}
-}
-
-func (s *server) handleGraph(w http.ResponseWriter, r *http.Request) {
-	if s.requireMethod(w, r, http.MethodPost) {
-		s.uploadGraph(w, r, s.def)
-	}
-}
+// ---- fleet-wide routes ----
 
 // GET /v1/stats — the default tenant's counters (flattened, the
 // pre-manager shape) plus HTTP counters and the manager aggregate with
 // per-tenant breakdown.
 func (s *server) handleStats(w http.ResponseWriter, r *http.Request) {
-	if !s.requireMethod(w, r, http.MethodGet) {
-		return
-	}
 	s.writeJSON(w, http.StatusOK, struct {
 		oracle.Stats
 		UptimeNS     time.Duration       `json:"uptime_ns"`
@@ -899,6 +828,9 @@ func (s *server) handleStats(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
+// GET /metrics — the Prometheus exposition of the obs registry.
+func (s *server) handleMetrics(w http.ResponseWriter, r *http.Request) { s.scrape.ServeHTTP(w, r) }
+
 // GET /healthz — 200 once the default tenant serves a snapshot, 503
 // before. Not-ready probes bypass the error counter: a liveness check
 // polling through a long initial build would otherwise drown real client
@@ -909,10 +841,8 @@ func (s *server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	if !ready {
 		status = http.StatusServiceUnavailable
 	}
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
 	build, revision := buildInfo()
-	_ = json.NewEncoder(w).Encode(struct {
+	sendJSON(w, status, struct {
 		Ready    bool   `json:"ready"`
 		Version  uint64 `json:"version"`
 		Graphs   int    `json:"graphs"`
@@ -955,45 +885,37 @@ func summarize(ts oracle.TenantStats) tenantSummary {
 	}
 }
 
-// handleGraphs serves the collection: GET /v1/graphs lists tenants,
-// POST /v1/graphs creates one.
-func (s *server) handleGraphs(w http.ResponseWriter, r *http.Request) {
-	switch r.Method {
-	case http.MethodGet:
-		st := s.mgr.Stats()
-		out := struct {
-			Count  int             `json:"count"`
-			Graphs []tenantSummary `json:"graphs"`
-		}{Graphs: make([]tenantSummary, len(st.Tenants))}
-		hosted := make(map[string]bool, len(st.Tenants))
-		for i, ts := range st.Tenants {
-			out.Graphs[i] = summarize(ts)
-			hosted[ts.Name] = true
-		}
-		// Evicted-but-persisted tenants still exist (the next query on one
-		// rehydrates it) and must show up here, consistent with the
-		// single-name summary route — a listing that omits them steers
-		// clients into destructive re-creates. Probe failures are 500s, for
-		// the same reason: a listing that silently omits a persisted tenant
-		// on a transient read error invites the same re-create.
-		evicted, err := s.mgr.Evicted()
-		if err != nil {
-			s.fail(w, r, http.StatusInternalServerError, err)
-			return
-		}
-		for _, name := range evicted {
-			if !hosted[name] {
-				out.Graphs = append(out.Graphs, tenantSummary{Name: name, Evicted: true, Tier: "cold"})
-			}
-		}
-		sort.Slice(out.Graphs, func(i, j int) bool { return out.Graphs[i].Name < out.Graphs[j].Name })
-		out.Count = len(out.Graphs)
-		s.writeJSON(w, http.StatusOK, out)
-	case http.MethodPost:
-		s.createTenant(w, r)
-	default:
-		s.requireMethod(w, r, http.MethodGet, http.MethodPost)
+// GET /v1/graphs lists the tenants.
+func (s *server) listTenants(w http.ResponseWriter, r *http.Request) {
+	st := s.mgr.Stats()
+	out := struct {
+		Count  int             `json:"count"`
+		Graphs []tenantSummary `json:"graphs"`
+	}{Graphs: make([]tenantSummary, len(st.Tenants))}
+	hosted := make(map[string]bool, len(st.Tenants))
+	for i, ts := range st.Tenants {
+		out.Graphs[i] = summarize(ts)
+		hosted[ts.Name] = true
 	}
+	// Evicted-but-persisted tenants still exist (the next query on one
+	// rehydrates it) and must show up here, consistent with the
+	// single-name summary route — a listing that omits them steers
+	// clients into destructive re-creates. Probe failures are 500s, for
+	// the same reason: a listing that silently omits a persisted tenant
+	// on a transient read error invites the same re-create.
+	evicted, err := s.mgr.Evicted()
+	if err != nil {
+		s.fail(w, r, http.StatusInternalServerError, err)
+		return
+	}
+	for _, name := range evicted {
+		if !hosted[name] {
+			out.Graphs = append(out.Graphs, tenantSummary{Name: name, Evicted: true, Tier: "cold"})
+		}
+	}
+	sort.Slice(out.Graphs, func(i, j int) bool { return out.Graphs[i].Name < out.Graphs[j].Name })
+	out.Count = len(out.Graphs)
+	s.writeJSON(w, http.StatusOK, out)
 }
 
 // POST /v1/graphs with {"name":"sf-roads","algorithm":"tradeoff","eps":0.2,
@@ -1023,7 +945,7 @@ func (s *server) createTenant(w http.ResponseWriter, r *http.Request) {
 			fmt.Errorf("tenant name %q: want 1-64 of [a-zA-Z0-9._-], starting alphanumeric", req.Name))
 		return
 	}
-	if req.Algorithm != "" && !algorithmRegistered(req.Algorithm) {
+	if req.Algorithm != "" && !slices.Contains(cliqueapsp.Algorithms(), cliqueapsp.Algorithm(req.Algorithm)) {
 		s.fail(w, r, http.StatusBadRequest, fmt.Errorf("unknown algorithm %q (see GET /v1/graphs or ccapsp -list)", req.Algorithm))
 		return
 	}
@@ -1088,105 +1010,9 @@ func (s *server) createTenant(w http.ResponseWriter, r *http.Request) {
 	s.writeJSON(w, http.StatusCreated, summarize(t.Stats()))
 }
 
-func algorithmRegistered(name string) bool {
-	for _, a := range cliqueapsp.Algorithms() {
-		if string(a) == name {
-			return true
-		}
-	}
-	return false
-}
-
-// handleTenant routes /v1/graphs/{name} and /v1/graphs/{name}/{op}.
-func (s *server) handleTenant(w http.ResponseWriter, r *http.Request) {
-	rest := strings.TrimPrefix(r.URL.Path, "/v1/graphs/")
-	name, op, hasOp := strings.Cut(rest, "/")
-	if !store.ValidTenantName(name) || (hasOp && strings.Contains(op, "/")) {
-		s.writeJSON(w, http.StatusNotFound, errorBody{Error: fmt.Sprintf("no route %s", r.URL.Path)})
-		return
-	}
-
-	if !hasOp || op == "" {
-		switch r.Method {
-		case http.MethodGet:
-			// Peek, not Get: a monitoring scrape must not refresh LRU
-			// recency, or eviction would track poll phase instead of
-			// actual query traffic.
-			t, err := s.mgr.Peek(name)
-			if err != nil {
-				onDisk, perr := s.mgr.Persisted(name)
-				if perr != nil {
-					// Could not tell: a 404 here could steer the client into
-					// a re-create that replaces a persisted incarnation.
-					s.fail(w, r, http.StatusInternalServerError, fmt.Errorf("probing persisted snapshots of %q: %w", name, perr))
-					return
-				}
-				if onDisk {
-					// Evicted but persisted: the tenant still exists (the
-					// next query rehydrates it).
-					s.writeJSON(w, http.StatusOK, tenantSummary{Name: name, Evicted: true, Tier: "cold"})
-					return
-				}
-				s.fail(w, r, http.StatusInternalServerError, err)
-				return
-			}
-			s.writeJSON(w, http.StatusOK, summarize(t.Stats()))
-		case http.MethodDelete:
-			s.deleteTenant(w, r, name)
-		default:
-			s.requireMethod(w, r, http.MethodGet, http.MethodDelete)
-		}
-		return
-	}
-
-	var method string
-	var serve func(http.ResponseWriter, *http.Request, *oracle.Tenant)
-	touch := true // stats scrapes resolve via Peek to leave LRU order alone
-	switch op {
-	case "dist":
-		method, serve = http.MethodGet, s.dist
-	case "path":
-		method, serve = http.MethodGet, s.path
-	case "batch":
-		method, serve = http.MethodPost, s.batch
-	case "graph":
-		method, serve = http.MethodPost, s.uploadGraph
-	case "edges":
-		method, serve = http.MethodPatch, s.patchEdges
-	case "promote":
-		method, serve = http.MethodPost, s.promoteTenant
-	case "stats":
-		method, serve, touch = http.MethodGet, s.tenantStats, false
-	default:
-		s.writeJSON(w, http.StatusNotFound, errorBody{Error: fmt.Sprintf("no route %s", r.URL.Path)})
-		return
-	}
-	if !s.requireMethod(w, r, method) {
-		return
-	}
-	resolve := s.mgr.Get
-	if !touch {
-		resolve = s.mgr.Peek
-	}
-	t, err := resolve(name)
-	if err != nil {
-		if op == "stats" {
-			// Keep the monitoring surface consistent with the summary
-			// route: an evicted-but-persisted tenant exists (Peek just
-			// cannot see it), and a 404 here would steer clients into a
-			// destructive re-create.
-			if onDisk, perr := s.mgr.Persisted(name); perr == nil && onDisk {
-				s.writeJSON(w, http.StatusOK, tenantSummary{Name: name, Evicted: true, Tier: "cold"})
-				return
-			}
-		}
-		// fail() maps a genuinely absent tenant to 404; anything else — a
-		// corrupt snapshot or I/O failure during rehydration — is a server
-		// fault the client must not mistake for "no such tenant".
-		s.fail(w, r, http.StatusInternalServerError, err)
-		return
-	}
-	serve(w, r, t)
+// GET /v1/graphs/{name} — one tenant's summary.
+func (s *server) showTenant(w http.ResponseWriter, r *http.Request, t *oracle.Tenant) {
+	s.writeJSON(w, http.StatusOK, summarize(t.Stats()))
 }
 
 // GET /v1/graphs/{name}/stats — the tenant's full oracle counters.

@@ -1,9 +1,8 @@
 package main
 
 // The trace inspection surface: GET /v1/traces (recent roots) and
-// GET /v1/traces/{id} (one trace as a span tree). Neither path is
-// tenant-scoped in tenantRoute, so with -keys set both are admin-only
-// automatically, like /metrics and /debug/pprof/.
+// GET /v1/traces/{id} (one trace as a span tree). With -keys set both are
+// admin-only, like /metrics and /debug/pprof/.
 
 import (
 	"context"
@@ -51,9 +50,6 @@ func summarizeTrace(tr *trace.Trace) traceSummary {
 
 // GET /v1/traces?limit=N — recent completed traces, newest first.
 func (s *server) handleTraces(w http.ResponseWriter, r *http.Request) {
-	if !s.requireMethod(w, r, http.MethodGet) {
-		return
-	}
 	limit := 50
 	if raw := r.URL.Query().Get("limit"); raw != "" {
 		n, err := strconv.Atoi(raw)
@@ -105,9 +101,6 @@ func spanTree(spans []trace.SpanRecord) []*spanNode {
 
 // GET /v1/traces/{id} — one trace as a span tree.
 func (s *server) handleTraceByID(w http.ResponseWriter, r *http.Request) {
-	if !s.requireMethod(w, r, http.MethodGet) {
-		return
-	}
 	rest := strings.TrimPrefix(r.URL.Path, "/v1/traces/")
 	if rest == "" || strings.Contains(rest, "/") {
 		s.writeJSON(w, http.StatusNotFound, errorBody{Error: fmt.Sprintf("no route %s", r.URL.Path)})

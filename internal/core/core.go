@@ -21,8 +21,8 @@
 // tests assert that measured ratios never exceed the proven factor.
 //
 // Parameter regime: the paper's asymptotic parameter choices degenerate at
-// laptop-scale n (log⁴n > n for n ≤ 4096). Params centralizes the paper
-// formulas together with their documented clamps; see DESIGN.md §1.
+// laptop-scale n (log⁴n > n for n ≤ 4096). Each pipeline computes the paper
+// formulas together with their clamps, documented where they are applied.
 package core
 
 import (

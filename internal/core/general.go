@@ -36,7 +36,7 @@ func APSP(clq *cc.Clique, g *graph.Graph, cfg Config) (Estimate, error) {
 	}
 
 	// Step 1: k-nearest directly on G. Paper: k = log⁴n,
-	// h = Θ(log n/log log n), i = O(1); clamps per DESIGN.md.
+	// h = Θ(log n/log log n), i = O(1); clamped to laptop scale below.
 	k := clampInt(int(math.Pow(log2(n), 4)), 2, intSqrt(n))
 	hPar := clampInt(int(math.Log(float64(n))/math.Log(float64(k))), 2, n)
 	iPar := 1

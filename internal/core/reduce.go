@@ -13,7 +13,7 @@ import (
 
 // reduceParams holds the Lemma 3.1 parameter choices: the paper's formulas
 // h = a^{1/4}/2, k = n^{1/h}, b = √a with the laptop-scale clamps
-// documented in DESIGN.md (h ≥ 2, 2 ≤ k ≤ √n, b ≥ 2).
+// h ≥ 2, 2 ≤ k ≤ √n, b ≥ 2.
 type reduceParams struct {
 	h, k, iters, b int
 	beta           int

@@ -16,7 +16,7 @@ type Algorithm func(clq *cc.Clique, g *graph.Graph, cfg Config) (Estimate, error
 // nowickiMSTRounds is the round charge for revealing the zero-weight
 // components, per the O(1)-round deterministic MST algorithm of [Now21]
 // invoked as a black box by Theorem 2.1 (the components are computed by
-// union-find; see DESIGN.md's substitution table). The live-engine label
+// union-find, which stands in for that black box). The live-engine label
 // propagation protocol cross-checks the component structure in tests.
 const nowickiMSTRounds = 5
 

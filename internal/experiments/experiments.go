@@ -1,7 +1,7 @@
-// Package experiments regenerates every table and figure of EXPERIMENTS.md:
-// one experiment per theorem/lemma guarantee of the paper (see DESIGN.md §4
-// for the index). The same experiment functions back cmd/ccbench and the
-// top-level testing.B benchmarks.
+// Package experiments regenerates every experiment table and figure: one
+// experiment per theorem/lemma guarantee of the paper (`ccbench -list`
+// prints the index). The same experiment functions back cmd/ccbench and
+// the top-level testing.B benchmarks.
 package experiments
 
 import (

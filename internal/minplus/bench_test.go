@@ -30,7 +30,7 @@ func BenchmarkPowerFixpoint(b *testing.B) {
 	a := randomDense(96, rng)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		a.PowerFixpoint(256)
+		a.PowerFixpointCtx(nil, 256)
 	}
 }
 

@@ -227,9 +227,9 @@ const (
 
 // MulTo computes the distance product dst = d ⋆ o over the tropical
 // semiring, (d⋆o)[i,j] = min_k (d[i,k] + o[k,j]), into a caller-owned
-// destination: the allocation-free core of Mul/Power/PowerFixpoint. dst
-// must be n×n and distinct from both operands; its previous contents are
-// discarded.
+// destination: the allocation-free core of Mul, PowerCtx and
+// PowerFixpointCtx. dst must be n×n and distinct from both operands; its
+// previous contents are discarded.
 //
 // The i/k/j loops are cache-blocked and row panels fan out across g (nil =
 // the shared pool, uncancellable). Results are byte-identical to MulNaive.
@@ -358,13 +358,6 @@ func (d *Dense) PowerFixpointCtx(g *sched.Group, maxExp int) (*Dense, int, error
 	return cur, squarings, nil
 }
 
-// PowerFixpoint is PowerFixpointCtx on the shared pool without
-// cancellation.
-func (d *Dense) PowerFixpoint(maxExp int) (*Dense, int) {
-	out, squarings, _ := d.PowerFixpointCtx(nil, maxExp)
-	return out, squarings
-}
-
 // PowerCtx returns d^h over the tropical semiring via binary
 // exponentiation, h ≥ 1. Like PowerFixpointCtx it rotates three buffers
 // (result, base, spare) instead of allocating per product, runs tiled on g,
@@ -398,12 +391,6 @@ func (d *Dense) PowerCtx(g *sched.Group, h int) (*Dense, error) {
 		}
 	}
 	return result, nil
-}
-
-// Power is PowerCtx on the shared pool without cancellation.
-func (d *Dense) Power(h int) *Dense {
-	out, _ := d.PowerCtx(nil, h)
-	return out
 }
 
 func min64(a, b int64) int64 {

@@ -58,7 +58,8 @@ func TestPowerTiledMatchesNaive(t *testing.T) {
 		a := randomDense(n, rng)
 		naive := a.Clone()
 		for _, h := range []int{1, 2, 3, 5, 8} {
-			identicalEntries(t, naivePower(a, h), a.Power(h))
+			got, _ := a.PowerCtx(nil, h)
+			identicalEntries(t, naivePower(a, h), got)
 		}
 
 		want := naive.Clone()
@@ -73,7 +74,7 @@ func TestPowerTiledMatchesNaive(t *testing.T) {
 			}
 			want = next
 		}
-		got, squarings := a.PowerFixpoint(2 * n)
+		got, squarings, _ := a.PowerFixpointCtx(nil, 2*n)
 		if squarings != wantSquarings {
 			t.Fatalf("n=%d: %d squarings, naive fixpoint took %d", n, squarings, wantSquarings)
 		}

@@ -131,7 +131,7 @@ func TestPowerMatchesRepeatedMul(t *testing.T) {
 			for i := 1; i < h; i++ {
 				want = want.Mul(a)
 			}
-			got := a.Power(h)
+			got, _ := a.PowerCtx(nil, h)
 			if !got.Equal(want) {
 				t.Fatalf("trial %d: A^%d mismatch", trial, h)
 			}
@@ -148,7 +148,7 @@ func TestPowerFixpointReachesAPSP(t *testing.T) {
 		a.Set(i, i+1, 1)
 		a.Set(i+1, i, 1)
 	}
-	fix, _ := a.PowerFixpoint(4 * n)
+	fix, _, _ := a.PowerFixpointCtx(nil, 4*n)
 	for i := 0; i < n; i++ {
 		for j := 0; j < n; j++ {
 			want := int64(abs(i - j))
@@ -460,5 +460,5 @@ func TestPowerInvalidExponentPanics(t *testing.T) {
 			t.Fatal("h=0 should panic")
 		}
 	}()
-	NewDense(2).Power(0)
+	NewDense(2).PowerCtx(nil, 0)
 }

@@ -58,7 +58,7 @@ func TestPropertyPowerEqualsHopLimitedPaths(t *testing.T) {
 		a := randomDense(n, rng)
 		a.SetDiagZero()
 		h := 1 + rng.Intn(4)
-		pow := a.Power(h)
+		pow, _ := a.PowerCtx(nil, h)
 		for src := 0; src < n; src++ {
 			dist := make([]int64, n)
 			next := make([]int64, n)
